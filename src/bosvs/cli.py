@@ -4,15 +4,13 @@ Subcommands: ``solve`` runs one scheme on a problem file; ``bench
 deblur`` / ``bench lasso`` generate an instance, save it, and run one or
 all schemes; ``refsolve`` computes the reference objective by the
 accelerated refinement protocol. Exit code 0 on convergence, 2 when the
-iteration budget ran out, 1 on any other error. BOSVS_THREADS caps the
-run-matrix parallelism of ``bench``.
+iteration budget ran out, 1 on any other error.
 """
 
 import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -33,15 +31,6 @@ def _bool(text):
     if val in ('0', 'false', 'no', 'off'):
         return False
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
-
-
-def _thread_budget(njobs):
-    cap = os.environ.get('BOSVS_THREADS')
-    try:
-        cap = int(cap) if cap else (os.cpu_count() or 1)
-    except ValueError:
-        cap = 1
-    return max(1, min(njobs, cap))
 
 
 def _build_params(args, scheme):
@@ -96,14 +85,10 @@ def _bench_run_matrix(p, problem_path, args, out_dir):
     schemes = SCHEME_CHOICES if args.scheme == 'all' else [args.scheme]
     ref_rho = args.ref_rho if args.ref_rho is not None else args.rho
     phi_star, _ = refsolve(p, ref_rho, args.alpha)
-    jobs = []
-    with ThreadPoolExecutor(max_workers=_thread_budget(len(schemes))) as ex:
-        for scheme in schemes:
-            params = _build_params(args, scheme)
-            jobs.append((scheme, ex.submit(
-                run_benchmark, problem_path, scheme, params, out_dir,
-                phi_star=phi_star)))
-        codes = {scheme: fut.result() for scheme, fut in jobs}
+    codes = {scheme: run_benchmark(problem_path, scheme,
+                                   _build_params(args, scheme), out_dir,
+                                   phi_star=phi_star)
+             for scheme in schemes}
     index = {'problem': str(problem_path), 'phi_star': phi_star,
              'schemes': codes}
     with open(os.path.join(out_dir, 'index.json'), 'w') as fh:

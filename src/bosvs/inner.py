@@ -16,16 +16,16 @@ outer iteration:
 * ``exact_block_solve``: minimizes the exact block objective, by CG when
   h = 0 or one prox when the Gram is a positive multiple of the identity.
 
-All four share the solvable-subproblem classes: h = 0 leads to a linear
-system solved through a cached spectral factorization of the block Gram;
-a Gram equal to c*I collapses to a single prox at scale 1/(delta + rho*c);
-anything else raises UnsupportedSubproblem.
+All four share the solvable-subproblem classes, decided by the block's
+structured Gram value (``linops.gram``): h = 0 leads to a linear system
+that value solves directly; a Gram equal to c*I collapses to a single
+prox at scale 1/(delta + rho*c); anything else raises
+UnsupportedSubproblem.
 """
 
 import math
 
 import numpy as np
-from scipy.linalg import eigh
 from scipy.sparse.linalg import LinearOperator, cg
 
 from . import linops
@@ -124,64 +124,22 @@ class BlockState:
 
 
 class BlockWorkspace:
-    """Cached Gram structure for one block's subproblem solves.
-
-    Detects Gram = c*I once; failing that, asks the operator for a fast
-    orthonormal basis diagonalizing the Gram (``gram_basis``); otherwise
-    holds a spectral factorization of the dense Gram so
-    (delta*I + rho*G) systems solve in O(n^2) for any delta, with one
-    iterative-refinement pass to keep the relative residual near machine
-    precision.
-    """
+    """One block's Gram value A^T A (``linops.gram``), shared by every
+    subproblem solve of the block."""
 
     def __init__(self, A):
-        self.A = A
-        self._gram = None
-        self._cI = -1      # sentinel: not probed yet
-        self._basis = -1   # sentinel: not probed yet
-        self._eig = None
+        self._gram = linops.gram(A, A)
 
-    def gram(self):
-        if self._gram is None:
-            self._gram = linops.gram(self.A, self.A)
+    def gram_basis(self):
+        """The Gram value, a ``linops.Gram``."""
         return self._gram
 
     def identity_multiple(self):
-        if self._cI == -1:
-            if isinstance(self.A, linops.ScaledIdentityOp):
-                self._cI = self.A.scale * self.A.scale
-            else:
-                self._cI = linops.identity_multiple(self.gram())
-        return self._cI
-
-    def gram_basis(self):
-        if self._basis == -1:
-            gb = getattr(self.A, 'gram_basis', None)
-            self._basis = gb() if gb is not None else None
-        return self._basis
-
-    def _spectral(self):
-        if self._eig is None:
-            self._eig = eigh(self.gram())
-        return self._eig
+        return linops.identity_multiple(self._gram)
 
     def solve_shifted(self, delta, rho, rhs):
-        """Solve (delta*I + rho*G) u = rhs."""
-        c = self.identity_multiple()
-        if c is not None:
-            return rhs / (delta + rho * c)
-        gb = self.gram_basis()
-        if gb is not None:
-            return gb.inverse(gb.forward(rhs) / (delta + rho * gb.eig))
-        w, q = self._spectral()
-        dvals = delta + rho * w
-        u = q @ ((q.T @ rhs) / dvals)
-        # one refinement pass when the shifted spectrum is spread enough
-        # for the factored solve to leave a visible residual
-        if dvals[-1] > 1e6 * dvals[0]:
-            res = rhs - (delta * u + rho * (self.gram() @ u))
-            u += q @ ((q.T @ res) / dvals)
-        return u
+        """Solve (delta*I + rho*A^T A) u = rhs."""
+        return self._gram.solve_shifted(delta, rho, rhs)
 
 
 class InnerContext:
@@ -235,19 +193,14 @@ def _bb_seed(ctx, bst):
 def _composite_argmin(ctx, grad_vec, center, delta):
     """argmin <g, u> + (delta/2)||u - center||^2 + h(u)
     + (rho/2)||A u - c_vec||^2 over the solvable classes."""
-    ws = ctx.workspace
     rho = ctx.rho
-    h = ctx.block.h
-    c = ws.identity_multiple()
-    if getattr(h, 'is_zero', False):
-        rhs = delta * center - grad_vec + rho * ctx.adjoint_c()
-        if c is not None:
-            return rhs / (delta + rho * c)
-        return ws.solve_shifted(delta, rho, rhs)
+    rhs = delta * center - grad_vec + rho * ctx.adjoint_c()
+    if getattr(ctx.block.h, 'is_zero', False):
+        return ctx.workspace.solve_shifted(delta, rho, rhs)
+    c = ctx.workspace.identity_multiple()
     if c is not None and c > 0.0:
         t = 1.0 / (delta + rho * c)
-        v = (delta * center - grad_vec + rho * ctx.adjoint_c()) * t
-        return h.prox(v, t)
+        return ctx.block.h.prox(rhs * t, t)
     raise UnsupportedSubproblem(ctx.i + 1)
 
 
@@ -483,7 +436,6 @@ def exact_block_solve(ctx, bst, cg_tol=1e-6, cg_maxit=100000):
     """
     h = ctx.block.h
     f = ctx.block.f
-    A = ctx.block.A
     rho = ctx.rho
     n = ctx.block.dim
     if getattr(h, 'is_zero', False):
@@ -492,9 +444,10 @@ def exact_block_solve(ctx, bst, cg_tol=1e-6, cg_maxit=100000):
                 ctx.i + 1, f"block {ctx.i + 1}: CG path needs a quadratic "
                            "smooth part")
         rhs = rho * ctx.adjoint_c() - f.gradient(np.zeros(n))
+        G = ctx.workspace.gram_basis()
 
         def matvec(v):
-            return f.hess_apply(v) + rho * A.apply_adjoint(A.apply(v))
+            return f.hess_apply(v) + rho * G.apply(v)
 
         iters = [0]
 

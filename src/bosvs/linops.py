@@ -1,4 +1,4 @@
-"""Linear operators and the block back-substitution machinery.
+"""Linear operators and the structured Gram algebra built on them.
 
 Every coupling block A_i is a ``LinOp``: a matrix-free pair
 (apply, apply_adjoint) with explicit ``rows``/``cols``. Dense matrices,
@@ -6,40 +6,30 @@ signed identities, vertical stacks, an orthonormal 2-D Haar transform,
 forward differences with replicate boundary, and explicit small-kernel
 blur cover the structures used by the benchmark problems.
 
-``assemble_back_sub`` builds the lower block-triangular Gram matrix M
-(entries A_{i+1}^T A_{j+1} for blocks 2..m), its block diagonal H, and
-Cholesky factors of the diagonal blocks; ``back_substitute`` applies the
-correction y + alpha * M^{-T} H (z - y) by blockwise back substitution.
-Everything is dense at desk scale; operators are immutable after
-construction.
+``gram(a, b)`` returns A^T B as a ``Gram`` value: ``Zero`` (possibly
+rectangular), ``ScaledIdentity``, ``Diagonalized`` by a fast orthonormal
+transform (the DCT-II for differences) or the ``Dense`` fallback.
+Stacks sum their part Grams structurally, so structured Grams are never
+materialized. ``assemble_back_sub`` collects these values into the lower
+block-triangular M of blocks 2..m, whose diagonal blocks form H, and
+checks each for full rank; ``back_substitute`` applies the correction
+y + alpha * M^{-T} H (z - y) by blockwise back substitution.
 """
+
+import functools
 
 import numpy as np
 from scipy import sparse
 from scipy.fft import dctn, idctn
-from scipy.linalg import cho_factor, cho_solve, eigvalsh
+from scipy.linalg import eigh
 
 from .errors import BadDims, DimensionMismatch, RankDeficient
 
 __all__ = ['LinOp', 'DenseOp', 'ScaledIdentityOp', 'IdentityOp', 'NegIdentityOp',
            'ZeroOp', 'VStackOp', 'HaarTransform', 'DiffOperator', 'BlurOperator',
-           'GramBasis', 'gram', 'assemble_back_sub', 'back_substitute',
+           'Gram', 'Zero', 'ScaledIdentity', 'Diagonalized', 'Dense', 'gram',
+           'identity_multiple', 'assemble_back_sub', 'back_substitute',
            'smallest_gram_eigenvalue', 'BackSubMatrices']
-
-
-class GramBasis:
-    """Orthonormal fast transform diagonalizing a Gram matrix.
-
-    A^T A = Q^T diag(eig) Q with Q v = forward(v) computed by a fast
-    transform (and inverse the transpose), so a shifted system
-    (delta I + rho A^T A) u = rhs solves as one forward/inverse pair.
-    Operators that admit such a basis expose it through ``gram_basis``.
-    """
-
-    def __init__(self, eig, forward, inverse):
-        self.eig = np.asarray(eig, dtype=float)
-        self.forward = forward
-        self.inverse = inverse
 
 
 class LinOp:
@@ -184,35 +174,6 @@ class VStackOp(LinOp):
     def to_dense(self):
         return np.vstack([p.to_dense() for p in self.parts])
 
-    def row_splits(self):
-        return tuple(p.rows for p in self.parts)
-
-    def gram_basis(self):
-        """Fast basis for the stacked Gram when at most one part needs one.
-
-        The stack Gram is the sum of part Grams. Parts whose Gram is a
-        multiple of the identity shift the spectrum; a single remaining
-        part may supply its own basis. Returns None otherwise.
-        """
-        spectral = None
-        shift = 0.0
-        for p in self.parts:
-            gb = getattr(p, 'gram_basis', None)
-            b = gb() if gb is not None else None
-            if b is not None:
-                if spectral is not None:
-                    return None
-                spectral = b
-                continue
-            c = identity_multiple(gram(p, p))
-            if c is None:
-                return None
-            shift += c
-        if spectral is None:
-            return None
-        return GramBasis(spectral.eig + shift, spectral.forward,
-                         spectral.inverse)
-
 
 class HaarTransform(LinOp):
     """Orthonormal multilevel 2-D Haar analysis on flattened images.
@@ -276,6 +237,10 @@ class HaarTransform(LinOp):
             x[:r, :c] = self._inv_axis(self._inv_axis(x[:r, :c], 1), 0)
         return x.ravel()
 
+    def self_gram(self):
+        """Orthonormal, so A^T A = I."""
+        return ScaledIdentity(self.cols, 1.0)
+
 
 class DiffOperator(LinOp):
     """Forward differences on a 2-D grid with replicate boundary.
@@ -313,11 +278,12 @@ class DiffOperator(LinOp):
         out[1:, :] += gy[:-1, :]
         return out.ravel()
 
-    def gram_basis(self):
+    def self_gram(self):
         """D^T D is the free-boundary grid Laplacian, diagonal in DCT-II.
 
         Eigenvalues are 4 sin^2(pi i / 2r) + 4 sin^2(pi j / 2c) on the
-        (i, j) frequency grid, with the orthonormal 2-D DCT-II as basis.
+        (i, j) frequency grid, with the orthonormal 2-D DCT-II as basis
+        (Ng, Chan & Tang, SIAM J. Sci. Comput. 21(3), 1999).
         """
         r, c = self.imrows, self.imcols
         lr = 4.0 * np.sin(np.pi * np.arange(r) / (2.0 * r)) ** 2
@@ -332,7 +298,7 @@ class DiffOperator(LinOp):
             return idctn(np.asarray(w, dtype=float).reshape(r, c),
                          type=2, norm='ortho').ravel()
 
-        return GramBasis(eig, fwd, inv)
+        return Diagonalized(eig, fwd, inv)
 
 
 class BlurOperator(LinOp):
@@ -392,130 +358,223 @@ class BlurOperator(LinOp):
         return self._mat.toarray()
 
 
-def gram(a, b):
-    """Dense A^T B for two operators with equal row counts.
+class Gram(LinOp):
+    """A Gram block G = A^T B in structured form.
 
-    Structured pairs (signed identities, zero blocks, a Haar transform
-    with itself, aligned vertical stacks) produce exact arrays without
-    materializing the operands; anything else falls back to dense
-    multiplication.
+    For a symmetric G, ``solve_shifted(delta, rho, rhs)`` solves
+    (delta I + rho G) u = rhs and ``eig_bounds()`` gives its smallest and
+    largest eigenvalues. ``scalar`` is c when G = c I, else None.
+    """
+
+    scalar = None
+
+    @property
+    def nbytes(self):
+        """Bytes of the value's array attributes (not cached factors)."""
+        return sum(v.nbytes for v in vars(self).values()
+                   if isinstance(v, np.ndarray))
+
+
+class Zero(Gram):
+    """The zero block, possibly rectangular."""
+
+    def __init__(self, rows, cols):
+        self.rows, self.cols = int(rows), int(cols)
+        self.scalar = 0.0 if self.rows == self.cols else None
+
+    def apply(self, v):
+        return np.zeros(self.rows)
+
+    def apply_adjoint(self, w):
+        return np.zeros(self.cols)
+
+    def solve_shifted(self, delta, rho, rhs):
+        return rhs / delta
+
+    def eig_bounds(self):
+        return 0.0, 0.0
+
+
+class ScaledIdentity(Gram):
+    """c I on n coordinates."""
+
+    def __init__(self, n, c):
+        self.rows = self.cols = int(n)
+        self.scalar = float(c)
+
+    def apply(self, v):
+        return self.scalar * v
+
+    apply_adjoint = apply
+
+    def solve_shifted(self, delta, rho, rhs):
+        return rhs / (delta + rho * self.scalar)
+
+    def eig_bounds(self):
+        return self.scalar, self.scalar
+
+
+class Diagonalized(Gram):
+    """Q^T diag(eig) Q, with ``forward`` applying Q and ``inverse`` Q^T."""
+
+    def __init__(self, eig, forward, inverse):
+        self.eig = np.asarray(eig, dtype=float)
+        self.forward = forward
+        self.inverse = inverse
+        self.rows = self.cols = self.eig.size
+
+    def apply(self, v):
+        return self.inverse(self.eig * self.forward(v))
+
+    apply_adjoint = apply
+
+    def solve_shifted(self, delta, rho, rhs):
+        return self.inverse(self.forward(rhs) / (delta + rho * self.eig))
+
+    def eig_bounds(self):
+        return float(self.eig.min()), float(self.eig.max())
+
+
+class Dense(Gram):
+    """Explicit array; shifted solves use its eigendecomposition."""
+
+    def __init__(self, a):
+        self.a = np.asarray(a, dtype=float)
+        self.rows, self.cols = self.a.shape
+
+    @functools.cached_property
+    def _eigh(self):
+        return eigh(self.a)
+
+    def apply(self, v):
+        return self.a @ v
+
+    def apply_adjoint(self, w):
+        return self.a.T @ w
+
+    def solve_shifted(self, delta, rho, rhs):
+        w, q = self._eigh
+        dvals = delta + rho * w
+        u = q @ ((q.T @ rhs) / dvals)
+        # one refinement pass when the shifted spectrum is spread enough
+        # for the factored solve to leave a visible residual
+        if dvals[-1] > 1e6 * dvals[0]:
+            res = rhs - (delta * u + rho * (self.a @ u))
+            u += q @ ((q.T @ res) / dvals)
+        return u
+
+    def eig_bounds(self):
+        w = self._eigh[0]
+        return float(w[0]), float(w[-1])
+
+
+def _from_array(g, tol=1e-12):
+    """Zero, ScaledIdentity when g = c I within tol (relative), else Dense."""
+    if not np.any(g):
+        return Zero(*g.shape)
+    if g.shape[0] == g.shape[1]:
+        c = g[0, 0]
+        if np.max(np.abs(g - c * np.eye(len(g)))) <= tol * max(abs(c), 1.0):
+            return ScaledIdentity(len(g), c)
+    return Dense(g)
+
+
+def _add(x, y):
+    """Structural sum of two Gram values of one shape."""
+    if isinstance(x, Zero) or isinstance(y, Zero):
+        return y if isinstance(x, Zero) else x
+    if isinstance(x, ScaledIdentity):
+        x, y = y, x
+    if isinstance(y, ScaledIdentity) and isinstance(x, ScaledIdentity):
+        return ScaledIdentity(x.rows, x.scalar + y.scalar)
+    if isinstance(y, ScaledIdentity) and isinstance(x, Diagonalized):
+        return Diagonalized(x.eig + y.scalar, x.forward, x.inverse)
+    return _from_array(x.to_dense() + y.to_dense())
+
+
+def gram(a, b):
+    """The Gram block A^T B of two operators with equal row counts.
+
+    Zero and signed-identity operands, an operator with a ``self_gram``
+    paired with itself, and aligned vertical stacks give structured
+    values without materializing anything; other pairs fall back to
+    the dense product, which is still recognized as zero or c I.
     """
     if a.rows != b.rows:
         raise DimensionMismatch("gram needs equal row counts")
     if isinstance(a, ZeroOp) or isinstance(b, ZeroOp):
-        return np.zeros((a.cols, b.cols))
+        return Zero(a.cols, b.cols)
     if isinstance(a, ScaledIdentityOp) and isinstance(b, ScaledIdentityOp):
-        return (a.scale * b.scale) * np.eye(a.cols)
-    if isinstance(a, HaarTransform) and a is b:
-        return np.eye(a.cols)
+        return ScaledIdentity(a.cols, a.scale * b.scale)
     if (isinstance(a, VStackOp) and isinstance(b, VStackOp)
-            and a.row_splits() == b.row_splits()):
-        out = np.zeros((a.cols, b.cols))
-        for pa, pb in zip(a.parts, b.parts):
-            out += gram(pa, pb)
-        return out
-    return a.to_dense().T @ b.to_dense()
+            and [p.rows for p in a.parts] == [p.rows for p in b.parts]):
+        return functools.reduce(_add, map(gram, a.parts, b.parts))
+    if a is b and hasattr(a, 'self_gram'):
+        return a.self_gram()
+    return _from_array(a.to_dense().T @ b.to_dense())
 
 
-def identity_multiple(g, tol=1e-12):
-    """Return c when the dense Gram g equals c*I within tol, else None."""
-    n = g.shape[0]
-    if g.shape[0] != g.shape[1]:
-        return None
-    d = np.diagonal(g)
-    c = d[0]
-    scale = max(abs(c), 1.0)
-    if np.max(np.abs(d - c)) > tol * scale:
-        return None
-    off = g - np.diag(d)
-    if np.max(np.abs(off)) > tol * scale:
-        return None
-    return float(c)
+def identity_multiple(g):
+    """c when the Gram value g is c I (0.0 for a square zero), else None."""
+    return g.scalar
 
 
 class BackSubMatrices:
-    """Assembled Gram structure for the coupling blocks beyond the first.
+    """Gram structure of the coupling blocks beyond the first.
 
-    Holds the dense lower-triangular blocks of M, Cholesky factors of the
-    diagonal blocks H_i, the per-block smallest Gram eigenvalues nu_i, and
-    the block offsets into the stacked (z - y) vector. Blocks whose Gram
-    is a multiple of the identity (the usual signed-identity couplings)
-    take scalar shortcuts instead of dense products and factorized solves.
+    ``mblocks[i][j]`` (j <= i) is the Gram value A_{i+2}^T A_{j+2}; the
+    diagonal ones are the blocks H_i of H. ``offsets`` locate each block
+    in the stacked (z - y) vector.
     """
 
-    def __init__(self, mblocks, chol, nu, dims):
-        self.mblocks = mblocks          # mblocks[i][j] = A_{i+2}^T A_{j+2}, j <= i
-        self.chol = chol                # cho_factor of each diagonal block
-        self.nu = nu
+    def __init__(self, mblocks, dims):
+        self.mblocks = mblocks
         self.dims = dims
         self.offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
         self.total = int(self.offsets[-1])
-        self._ci = [[self._classify(mblocks[i][j]) for j in range(i + 1)]
-                    for i in range(len(dims))]
-
-    @staticmethod
-    def _classify(g):
-        """Scalar c when g == c*I, 0.0 for all-zero blocks, else None."""
-        if not np.any(g):
-            return 0.0
-        if g.shape[0] != g.shape[1]:
-            return None
-        return identity_multiple(g)
 
     @property
     def nblocks(self):
         return len(self.dims)
 
     def _split(self, v):
+        v = np.asarray(v, dtype=float).ravel()
         return [v[self.offsets[i]:self.offsets[i + 1]]
                 for i in range(self.nblocks)]
 
-    def _diag_apply(self, i, v):
-        c = self._ci[i][i]
-        return c * v if c is not None else self.mblocks[i][i] @ v
-
-    def _diag_solve(self, i, v):
-        c = self._ci[i][i]
-        if c is not None:
-            return v / c
-        return cho_solve(self.chol[i], v, check_finite=False)
-
-    def _off_apply_T(self, j, i, v):
-        """M_{ji}^T v, or None when the block is exactly zero."""
-        c = self._ci[j][i]
-        if c is not None:
-            return None if c == 0.0 else c * v
-        return self.mblocks[j][i].T @ v
+    def _terms_T(self, i, parts):
+        """M_{ji}^T parts[j] for each nonzero block j > i."""
+        return [self.mblocks[j][i].apply_adjoint(parts[j])
+                for j in range(i + 1, self.nblocks)
+                if not isinstance(self.mblocks[j][i], Zero)]
 
     def apply_H(self, v):
-        parts = self._split(np.asarray(v, dtype=float).ravel())
-        return np.concatenate([self._diag_apply(i, parts[i])
-                               for i in range(self.nblocks)]) if self.nblocks \
-            else np.zeros(0)
+        return _cat([self.mblocks[i][i].apply(p)
+                     for i, p in enumerate(self._split(v))])
 
     def solve_H(self, v):
-        parts = self._split(np.asarray(v, dtype=float).ravel())
-        return np.concatenate([self._diag_solve(i, parts[i])
-                               for i in range(self.nblocks)]) if self.nblocks \
-            else np.zeros(0)
+        return _cat([self.mblocks[i][i].solve_shifted(0.0, 1.0, p)
+                     for i, p in enumerate(self._split(v))])
 
     def apply_M_T(self, v):
         # (M^T v)_i = sum_{j >= i} M_{ji}^T v_j
-        parts = self._split(np.asarray(v, dtype=float).ravel())
+        parts = self._split(v)
         out = []
-        for i in range(self.nblocks):
-            acc = self._diag_apply(i, parts[i])
-            for j in range(i + 1, self.nblocks):
-                term = self._off_apply_T(j, i, parts[j])
-                if term is not None:
-                    acc = acc + term
+        for i, p in enumerate(parts):
+            acc = self.mblocks[i][i].apply(p)
+            for term in self._terms_T(i, parts):
+                acc = acc + term
             out.append(acc)
-        return np.concatenate(out) if out else np.zeros(0)
+        return _cat(out)
 
     def p_quadratic(self, v):
         """v^T (M H^{-1} M^T) v, used by the energy diagnostic."""
         w = self.apply_M_T(v)
         return float(w @ self.solve_H(w))
+
+
+def _cat(parts):
+    return np.concatenate(parts) if parts else np.zeros(0)
 
 
 def assemble_back_sub(blocks, rank_tol=1e-10):
@@ -526,27 +585,14 @@ def assemble_back_sub(blocks, rank_tol=1e-10):
     Raises RankDeficient with the 1-based position among these blocks.
     """
     blocks = list(blocks)
-    dims = [b.cols for b in blocks]
     mblocks = []
-    chol = []
-    nu = []
     for i, bi in enumerate(blocks):
         row = [gram(bi, bj) for bj in blocks[:i + 1]]
-        mblocks.append(row)
-        ci = identity_multiple(row[i])
-        if ci is not None:
-            if ci <= 0.0:
-                raise RankDeficient(i + 2)
-            nu.append(ci)
-            chol.append(None)
-            continue
-        evals = eigvalsh(row[i])
-        lo, hi = float(evals[0]), float(evals[-1])
+        lo, hi = row[i].eig_bounds()
         if hi <= 0.0 or lo <= rank_tol * hi:
             raise RankDeficient(i + 2)
-        nu.append(max(lo, 0.0))
-        chol.append(cho_factor(row[i], lower=True, check_finite=False))
-    return BackSubMatrices(mblocks, chol, nu, dims)
+        mblocks.append(row)
+    return BackSubMatrices(mblocks, [b.cols for b in blocks])
 
 
 def back_substitute(bs, y_plus, z_plus, alpha):
@@ -561,22 +607,16 @@ def back_substitute(bs, y_plus, z_plus, alpha):
     if y_plus.size != bs.total or z_plus.size != bs.total:
         raise DimensionMismatch("back_substitute: block vector length "
                                 f"{bs.total} expected")
-    if bs.nblocks == 0:
-        return y_plus.copy()
     w = bs._split(z_plus - y_plus)
-    rhs = [bs._diag_apply(i, w[i]) for i in range(bs.nblocks)]
     u = [None] * bs.nblocks
-    for i in range(bs.nblocks - 1, -1, -1):
-        acc = rhs[i]
-        for j in range(i + 1, bs.nblocks):
-            term = bs._off_apply_T(j, i, u[j])
-            if term is not None:
-                acc = acc - term
-        u[i] = bs._diag_solve(i, acc)
-    return y_plus + alpha * np.concatenate(u)
+    for i in reversed(range(bs.nblocks)):
+        acc = bs.mblocks[i][i].apply(w[i])
+        for term in bs._terms_T(i, u):
+            acc = acc - term
+        u[i] = bs.mblocks[i][i].solve_shifted(0.0, 1.0, acc)
+    return y_plus + alpha * _cat(u)
 
 
 def smallest_gram_eigenvalue(a):
     """Smallest eigenvalue of A^T A, clamped at zero."""
-    evals = eigvalsh(gram(a, a))
-    return max(float(evals[0]), 0.0)
+    return max(gram(a, a).eig_bounds()[0], 0.0)

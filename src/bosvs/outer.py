@@ -82,6 +82,7 @@ class OuterParams:
         Terminate when e^k <= stop_tol. None resolves after the first
         iteration to 1e-8 * (1 + |Phi(z^1)|).
     max_outer_iters : int
+        Outer iteration budget, >= 1.
     psi_ms, psi_acc : callables or None
         Inner forcing functions of e^{k-1}; None picks the defaults.
     cg_tol, cg_maxit : exact-scheme CG controls.
@@ -113,6 +114,8 @@ class OuterParams:
         self.thetas = tuple(float(t) for t in thetas)
         self.stop_tol = stop_tol
         self.max_outer_iters = int(max_outer_iters)
+        if self.max_outer_iters < 1:
+            raise ValueError("max_outer_iters must be at least 1")
         self.psi_ms = psi_ms if psi_ms is not None else psi_multistep
         self.psi_acc = psi_acc if psi_acc is not None else psi_accelerated
         self.cg_tol = float(cg_tol)

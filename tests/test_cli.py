@@ -14,11 +14,7 @@ BOSVS = [sys.executable, '-m', 'bosvs.cli']
 
 
 def run_cli(args, **kw):
-    env = dict(os.environ)
-    env.setdefault('BOSVS_THREADS', '1')
-    env.update(kw.pop('env', {}))
-    return subprocess.run(BOSVS + args, capture_output=True, text=True,
-                          env=env, **kw)
+    return subprocess.run(BOSVS + args, capture_output=True, text=True, **kw)
 
 
 @pytest.fixture(scope='module')
@@ -50,6 +46,14 @@ def test_solve_budget_exhaustion_exit_code(lasso_file):
                     '--rho', '1.0', '--tol', '1e-12', '--max-iters', '3'])
     assert proc.returncode == 2
     assert '(max_iters)' in proc.stdout
+
+
+def test_solve_zero_budget_is_a_usage_error(lasso_file):
+    proc = run_cli(['solve', '--problem', lasso_file, '--scheme',
+                    'generalized', '--rho', '1.0', '--max-iters', '0'])
+    assert proc.returncode == 1
+    assert 'max_outer_iters' in proc.stderr
+    assert 'Traceback' not in proc.stderr
 
 
 def test_solve_missing_file_is_an_error():
@@ -103,11 +107,10 @@ def test_bench_lasso_end_to_end(tmp_path):
     assert np.array_equal(p.blocks[0].f.data, q.blocks[0].f.data)
 
 
-def test_bench_all_schemes_with_thread_cap(tmp_path):
+def test_bench_all_schemes(tmp_path):
     out = str(tmp_path / 'out')
     proc = run_cli(['bench', 'lasso', '--n', '30', '--d', '60', '--nnz',
-                    '4', '--seed', '6', '--tol', '1e-7', '--out', out],
-                   env={'BOSVS_THREADS': '2'})
+                    '4', '--seed', '6', '--tol', '1e-7', '--out', out])
     assert proc.returncode == 0, proc.stderr
     with open(os.path.join(out, 'index.json')) as fh:
         index = json.load(fh)

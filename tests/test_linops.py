@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from bosvs import bench
 from bosvs.errors import BadDims, DimensionMismatch, RankDeficient
-from bosvs.linops import (BlurOperator, DenseOp, DiffOperator, HaarTransform,
-                          IdentityOp, NegIdentityOp, ScaledIdentityOp,
-                          VStackOp, ZeroOp, assemble_back_sub, back_substitute,
-                          gram, identity_multiple, smallest_gram_eigenvalue)
+from bosvs.linops import (BlurOperator, Dense, DenseOp, DiffOperator,
+                          HaarTransform, IdentityOp, NegIdentityOp,
+                          ScaledIdentityOp, VStackOp, Zero, ZeroOp,
+                          assemble_back_sub, back_substitute, gram,
+                          identity_multiple, smallest_gram_eigenvalue)
 
 
 def adjoint_gap(op, rng, trials=5):
@@ -150,18 +152,18 @@ def test_gram_structured_fast_paths_are_exact():
     ident = IdentityOp(n)
     neg = NegIdentityOp(n)
     zero = ZeroOp(n, 5)
-    assert np.array_equal(gram(ident, ident), np.eye(n))
-    assert np.array_equal(gram(neg, neg), np.eye(n))
-    assert np.array_equal(gram(neg, ident), -np.eye(n))
-    assert np.array_equal(gram(zero, zero), np.zeros((5, 5)))
+    assert np.array_equal(gram(ident, ident).to_dense(), np.eye(n))
+    assert np.array_equal(gram(neg, neg).to_dense(), np.eye(n))
+    assert np.array_equal(gram(neg, ident).to_dense(), -np.eye(n))
+    assert np.array_equal(gram(zero, zero).to_dense(), np.zeros((5, 5)))
     h = HaarTransform(4, 4, 1)
-    assert np.array_equal(gram(h, h), np.eye(16))
+    assert np.array_equal(gram(h, h).to_dense(), np.eye(16))
     # the deblur-style stacks: [-I; 0] and [0; -I] give exact I and 0
     a2 = VStackOp([NegIdentityOp(n), ZeroOp(n, n)])
     a3 = VStackOp([ZeroOp(n, n), NegIdentityOp(n)])
-    assert np.array_equal(gram(a2, a2), np.eye(n))
-    assert np.array_equal(gram(a3, a3), np.eye(n))
-    assert np.array_equal(gram(a2, a3), np.zeros((n, n)))
+    assert np.array_equal(gram(a2, a2).to_dense(), np.eye(n))
+    assert np.array_equal(gram(a3, a3).to_dense(), np.eye(n))
+    assert np.array_equal(gram(a2, a3).to_dense(), np.zeros((n, n)))
 
 
 def test_gram_matches_dense_oracle():
@@ -170,19 +172,79 @@ def test_gram_matches_dense_oracle():
         a = DenseOp(rng.standard_normal((9, 4)))
         b = DenseOp(rng.standard_normal((9, 6)))
         want = a.to_dense().T @ b.to_dense()
-        assert np.allclose(gram(a, b), want, atol=1e-12)
+        assert np.allclose(gram(a, b).to_dense(), want, atol=1e-12)
     with pytest.raises(DimensionMismatch):
         gram(DenseOp(np.ones((3, 2))), DenseOp(np.ones((4, 2))))
 
 
+def gram_cases(rng):
+    """Operator pairs: every block pair of lasso and deblur 8/16, a dense
+    fallback (with itself and with another operator), a rectangular zero."""
+    problems = [bench.make_lasso(bench.LassoConfig(n=12, d=15, seed=0)),
+                bench.make_deblur(bench.DeblurConfig(size=8)),
+                bench.make_deblur(bench.DeblurConfig(size=16))]
+    pairs = [(bi.A, bj.A) for p in problems for bi in p.blocks
+             for bj in p.blocks]
+    d = DenseOp(rng.standard_normal((9, 5)))
+    pairs += [(d, d), (d, DenseOp(rng.standard_normal((9, 3)))),
+              (ZeroOp(6, 3), DenseOp(rng.standard_normal((6, 4))))]
+    return pairs
+
+
+def test_gram_values_match_dense_oracle():
+    rng = np.random.default_rng(12)
+    for a, b in gram_cases(rng):
+        g = gram(a, b)
+        want = a.to_dense().T @ b.to_dense()
+        tol = 1e-12 * max(1.0, np.abs(want).max())
+        assert g.shape == want.shape
+        assert np.allclose(g.to_dense(), want, rtol=0.0, atol=tol)
+        v = rng.standard_normal(b.cols)
+        w = rng.standard_normal(a.cols)
+        assert np.allclose(g.apply(v), want @ v, rtol=0.0, atol=10 * tol)
+        assert np.allclose(g.apply_adjoint(w), want.T @ w, rtol=0.0,
+                           atol=10 * tol)
+        square = want.shape[0] == want.shape[1]
+        c0 = want[0, 0]
+        oracle_c = c0 if square and np.abs(
+            want - c0 * np.eye(len(want))).max() <= 1e-12 * max(1.0, abs(c0)) \
+            else None
+        assert identity_multiple(g) == oracle_c
+        if isinstance(g, Zero):
+            assert not np.any(want)
+        if not isinstance(g, Dense):
+            # structured values hold at most one vector of eigenvalues
+            assert g.nbytes <= 8 * g.cols
+        if a is not b:
+            continue
+        evals = np.linalg.eigvalsh(want)
+        lo, hi = g.eig_bounds()
+        assert abs(lo - evals[0]) <= 1e-10 * max(1.0, evals[-1])
+        assert abs(hi - evals[-1]) <= 1e-10 * max(1.0, evals[-1])
+        if lo <= 0.0:
+            continue
+        for delta, rho in [(1e-3, 5e-4), (0.7, 1.0), (0.0, 1.0)]:
+            rhs = rng.standard_normal(g.cols)
+            u = g.solve_shifted(delta, rho, rhs)
+            ue = np.linalg.solve(delta * np.eye(g.cols) + rho * want, rhs)
+            assert np.linalg.norm(u - ue) <= 1e-9 * np.linalg.norm(ue)
+
+
 def test_identity_multiple_detection():
-    assert identity_multiple(np.eye(5)) == 1.0
-    assert identity_multiple(2.5 * np.eye(7)) == 2.5
+    def dense_gram(g):
+        # A^T B = g with A = I, B = g: the dense fallback path
+        return gram(DenseOp(np.eye(len(g))), DenseOp(g))
+
+    assert identity_multiple(dense_gram(np.eye(5))) == 1.0
+    assert identity_multiple(dense_gram(2.5 * np.eye(7))) == 2.5
     g = np.eye(4)
     g[0, 1] = 1e-6
-    assert identity_multiple(g) is None
-    assert identity_multiple(np.diag([1.0, 2.0, 1.0])) is None
-    assert identity_multiple(np.ones((2, 3))) is None
+    assert identity_multiple(dense_gram(g)) is None
+    assert identity_multiple(dense_gram(np.diag([1.0, 2.0, 1.0]))) is None
+    assert identity_multiple(dense_gram(np.ones((2, 3)))) is None
+    assert identity_multiple(dense_gram(np.zeros((3, 3)))) == 0.0
+    assert identity_multiple(gram(NegIdentityOp(6), IdentityOp(6))) == -1.0
+    assert identity_multiple(gram(ZeroOp(4, 2), ZeroOp(4, 3))) is None
 
 
 def test_smallest_gram_eigenvalue():
@@ -206,7 +268,7 @@ def test_back_sub_assembly_matches_dense():
     for i in range(3):
         for j in range(i + 1):
             want = mats[i].T @ mats[j]
-            assert np.allclose(bs.mblocks[i][j], want, atol=1e-12)
+            assert np.allclose(bs.mblocks[i][j].to_dense(), want, atol=1e-12)
     # H and M^T actions against dense constructions
     total = sum(dims)
     h_dense = np.zeros((total, total))
@@ -253,8 +315,8 @@ def test_back_substitute_identity_structure_is_relaxation():
            VStackOp([ZeroOp(n, n), NegIdentityOp(n)])]
     bs = assemble_back_sub(ops)
     for i in range(2):
-        assert np.array_equal(bs.mblocks[i][i], np.eye(n))
-    assert np.array_equal(bs.mblocks[1][0], np.zeros((n, n)))
+        assert np.array_equal(bs.mblocks[i][i].to_dense(), np.eye(n))
+    assert np.array_equal(bs.mblocks[1][0].to_dense(), np.zeros((n, n)))
     y = rng.standard_normal(2 * n)
     z = rng.standard_normal(2 * n)
     got = back_substitute(bs, y, z, 0.999)
