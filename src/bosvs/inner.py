@@ -16,6 +16,11 @@ outer iteration:
 * ``exact_block_solve``: minimizes the exact block objective, by CG when
   h = 0 or one prox when the Gram is a positive multiple of the identity.
 
+The three inexact schemes share one backtracking search over
+delta0 * eta**j (``_line_search``); the generalized step is one
+``_linearized_step``, the multistep loop iterates it, and both inner
+loops end through ``_run_inner``.
+
 All four share the solvable-subproblem classes, decided by the block's
 structured Gram value (``linops.gram``): h = 0 leads to a linear system
 that value solves directly; a Gram equal to c*I collapses to a single
@@ -89,7 +94,8 @@ class RelaxationParams:
         self.omega_accelerated = float(omega_accelerated)
 
     def eps(self, k):
-        return self.eps0 / k ** self.eps_exponent
+        """Slack scale eps^k; 0 when the relaxation is disabled."""
+        return self.eps0 / k ** self.eps_exponent if self.enabled else 0.0
 
 
 class InnerResult:
@@ -124,11 +130,11 @@ class BlockState:
 
 
 class BlockWorkspace:
-    """One block's Gram value A^T A (``linops.gram``), shared by every
-    subproblem solve of the block."""
+    """One block's Gram value A^T A (``linops.gram``, unless the caller
+    already holds it), shared by every subproblem solve of the block."""
 
-    def __init__(self, A):
-        self._gram = linops.gram(A, A)
+    def __init__(self, A, gram=None):
+        self._gram = linops.gram(A, A) if gram is None else gram
 
     def gram_basis(self):
         """The Gram value, a ``linops.Gram``."""
@@ -143,9 +149,14 @@ class BlockWorkspace:
 
 
 class InnerContext:
-    """Per-(outer iteration, block) inputs shared by every scheme."""
+    """Per-(outer iteration, block) inputs shared by every scheme.
 
-    def __init__(self, p, i, b_ik, lam, rho, ls, relax, k, workspace=None):
+    ``ls``, ``relax`` and ``k`` feed the line searches; a lone
+    ``prox_linear_step`` leaves them unset.
+    """
+
+    def __init__(self, p, i, b_ik, lam, rho, ls=None, relax=None, k=1,
+                 workspace=None):
         self.p = p
         self.i = i
         self.b_ik = b_ik
@@ -176,17 +187,12 @@ def bb_stepsize(f, x_cur, x_prev):
     return float((f.gradient(x_cur) - f.gradient(x_prev)) @ d) / nn
 
 
-def _mid(a, b, c):
-    """Median of three scalars."""
-    return sorted((a, b, c))[1]
-
-
 def _bb_seed(ctx, bst):
     """Safeguarded BB initial stepsize; delta_min_i when unavailable."""
     if ctx.k > 1 and bst.x_prev is not None:
         s = bb_stepsize(ctx.block.f, bst.x, bst.x_prev)
         if s is not None:
-            return _mid(bst.delta_min, s, ctx.ls.delta_max)
+            return sorted((bst.delta_min, s, ctx.ls.delta_max))[1]
     return bst.delta_min
 
 
@@ -213,41 +219,53 @@ def prox_linear_step(p, i, v, delta, b_ik, lam, rho, workspace=None):
     scale 1/(delta + rho*c); otherwise UnsupportedSubproblem.
     """
     ctx = InnerContext(p, i, np.asarray(b_ik, dtype=float),
-                       np.asarray(lam, dtype=float), rho,
-                       LineSearchParams(), RelaxationParams(enabled=False),
-                       1, workspace)
-    g = ctx.block.f.gradient(np.asarray(v, dtype=float))
-    return _composite_argmin(ctx, g, np.asarray(v, dtype=float), delta)
+                       np.asarray(lam, dtype=float), rho, workspace=workspace)
+    v = np.asarray(v, dtype=float)
+    return _composite_argmin(ctx, ctx.block.f.gradient(v), v, delta)
+
+
+def _line_search(ctx, delta0, trial):
+    """First result of trial(delta0 * eta**j), j = 0..LINE_SEARCH_CAP,
+    that is not None; LineSearchDiverged when every trial is rejected."""
+    for j in range(LINE_SEARCH_CAP + 1):
+        out = trial(delta0 * ctx.ls.eta ** j)
+        if out is not None:
+            return out
+    raise LineSearchDiverged(ctx.i + 1, LINE_SEARCH_CAP)
+
+
+def _linearized_step(ctx, u, fu, delta0, slack):
+    """Backtracked linearized step from u, given fu = f(u).
+
+    Accepts the first trial delta whose candidate u + d satisfies
+    f(u) + <grad f(u), d> + (1 - sigma) delta ||d||^2 / 2
+    >= f(u + d) - slack(delta). Returns (u + d, f(u + d), ||d||^2, delta).
+    """
+    f = ctx.block.f
+    g = f.gradient(u)
+    sig = 1.0 - ctx.ls.sigma
+
+    def trial(delta):
+        cand = _composite_argmin(ctx, g, u, delta)
+        d = cand - u
+        dd = float(d @ d)
+        fc = f.value(cand)
+        if fu + float(g @ d) + 0.5 * sig * delta * dd >= fc - slack(delta):
+            return cand, fc, dd, delta
+
+    return _line_search(ctx, delta0, trial)
 
 
 def generalized_step(ctx, bst):
-    """One BB-seeded backtracking step; returns InnerResult with l = 1."""
-    ls = ctx.ls
-    f = ctx.block.f
-    x = bst.x
-    delta0 = _bb_seed(ctx, bst)
-    fx = f.value(x)
-    gx = f.gradient(x)
-    slack = ctx.relax.eps(ctx.k) if ctx.relax.enabled else 0.0
-    sig = 1.0 - ls.sigma
-    x_new = None
-    delta = delta0
-    for j in range(LINE_SEARCH_CAP + 1):
-        delta = delta0 * ls.eta ** j
-        cand = _composite_argmin(ctx, gx, x, delta)
-        d = cand - x
-        dd = float(d @ d)
-        lhs = fx + float(gx @ d) + 0.5 * sig * delta * dd
-        if lhs >= f.value(cand) - slack:
-            x_new = cand
-            break
-    if x_new is None:
-        raise LineSearchDiverged(ctx.i + 1, LINE_SEARCH_CAP)
-    r = dd / delta
+    """One BB-seeded linearized step; returns InnerResult with l = 1."""
+    eps = ctx.relax.eps(ctx.k)
+    x_new, _, dd, delta = _linearized_step(
+        ctx, bst.x, ctx.block.f.value(bst.x), _bb_seed(ctx, bst),
+        lambda _: eps)
     if ctx.k > 1 and bst.delta_prev is not None \
             and delta > max(bst.delta_prev, bst.delta_min):
-        bst.delta_min *= ls.tau
-    return InnerResult(x_new, x_new.copy(), r, 1.0 / delta, 1, delta)
+        bst.delta_min *= ctx.ls.tau
+    return InnerResult(x_new, x_new.copy(), dd / delta, 1.0 / delta, 1, delta)
 
 
 class RunningAverage:
@@ -270,70 +288,104 @@ class RunningAverage:
         return alpha
 
 
-def _stop_gate(gamma, Gamma_prev, l, l_prev, relaxed):
-    if gamma >= Gamma_prev:
-        return True
-    return relaxed and l >= l_prev
+def _run_inner(ctx, bst, psi_val, iterates, record, inner_cap, cap_error):
+    """Run an inner loop to its stopping rule; ``iterates`` yields (u, z,
+    ||u - u_prev||^2, gamma, delta, displacement, record extras)."""
+    sumsq = 0.0
+    for l, (u, z, dd, gamma, delta, disp, extra) in zip(
+            range(1, inner_cap + 1), iterates):
+        sumsq += dd
+        if record is not None:
+            record.append({'l': l, 'delta': delta, 'gamma': gamma,
+                           'u': u.copy(), 'z': z.copy(), **extra})
+        if (gamma >= bst.Gamma_prev
+                or ctx.relax.enabled and l >= bst.l_prev) \
+                and disp <= psi_val:
+            break
+    else:
+        if cap_error:
+            raise InnerIterationCap(ctx.i + 1, inner_cap)
+    if gamma < bst.Gamma_prev:
+        bst.delta_min *= ctx.ls.tau
+    return InnerResult(u, z.copy(), sumsq / gamma, gamma, l, delta)
+
+
+def _multistep_iterates(ctx, bst):
+    f = ctx.block.f
+    eps = ctx.relax.eps(ctx.k)
+    omega = ctx.relax.omega_multistep
+    delta0 = _bb_seed(ctx, bst)
+    u = bst.x.copy()
+    fu = f.value(u)
+    avg = RunningAverage(u)
+    while True:
+        u, fu, dd, delta = _linearized_step(
+            ctx, u, fu, delta0,
+            lambda d: eps * d * (avg.gamma + 1.0 / d) ** (-omega))
+        avg.update(u, delta)
+        yield u, avg.a, dd, avg.gamma, delta, math.sqrt(dd / avg.gamma), {}
 
 
 def multistep_loop(ctx, bst, psi_val, record=None,
                    inner_cap=10000, cap_error=True):
     """Repeated linearized steps with weighted averaging.
 
-    Each inner iteration runs the same backtracking as the generalized
-    step but from the previous inner iterate. Stops when the weight
-    gamma reaches Gamma_prev (relaxed mode also accepts l >= l_prev) and
+    Each inner iteration is the generalized step's linearized step, taken
+    from the previous inner iterate. Stops when the weight gamma reaches
+    Gamma_prev (relaxed mode also accepts l >= l_prev) and
     ||u^l - u^{l-1}|| / sqrt(gamma) <= psi_val. On a relaxed exit with
     gamma still below Gamma_prev, delta_min_i is multiplied by tau.
     """
-    ls = ctx.ls
+    return _run_inner(ctx, bst, psi_val, _multistep_iterates(ctx, bst),
+                      record, inner_cap, cap_error)
+
+
+def _accelerated_iterates(ctx, bst, delta1):
     f = ctx.block.f
-    relax = ctx.relax
-    delta0 = _bb_seed(ctx, bst)
-    eps = relax.eps(ctx.k) if relax.enabled else 0.0
-    sig = 1.0 - ls.sigma
-    u = bst.x.copy()
-    fu = f.value(u)
-    gu = f.gradient(u)
-    avg = RunningAverage(u)
-    sumsq = 0.0
-    delta = delta0
+    sig = 1.0 - ctx.ls.sigma
+    u = a = bst.x.copy()
+    gamma = 0.0
+
+    def point(alpha, delta):   # abar, grad f(abar), next u, next a
+        abar = (1.0 - alpha) * a + alpha * u
+        gbar = f.gradient(abar)
+        u_new = _composite_argmin(ctx, gbar, u, delta)
+        return abar, gbar, u_new, (1.0 - alpha) * a + alpha * u_new
+
+    if delta1 is None:
+        delta0 = _bb_seed(ctx, bst)
+        eps = ctx.relax.eps(ctx.k)
+        power = -(1.0 + ctx.relax.omega_accelerated)
+
+        def trial(scaled):
+            theta = 1.0 / scaled
+            delta = 2.0 / (theta + math.sqrt(theta * theta
+                                             + 4.0 * theta * gamma))
+            alpha = 1.0 / (1.0 + delta * gamma)
+            gamma_trial = gamma + 1.0 / delta
+            abar, gbar, u_new, a_new = point(alpha, delta)
+            step = a_new - abar
+            ss = float(step @ step)
+            lhs = f.value(abar) + float(gbar @ step) \
+                + 0.5 * sig * (delta / alpha) * ss
+            if lhs >= f.value(a_new) - eps * gamma_trial ** power:
+                return delta, alpha, gamma_trial, u_new, a_new
+
     l = 0
-    stopped = False
-    while l < inner_cap:
+    while True:
         l += 1
-        accepted = None
-        for j in range(LINE_SEARCH_CAP + 1):
-            delta = delta0 * ls.eta ** j
-            cand = _composite_argmin(ctx, gu, u, delta)
-            d = cand - u
-            dd = float(d @ d)
-            gamma_trial = avg.gamma + 1.0 / delta
-            slack = eps * delta * gamma_trial ** (-relax.omega_multistep) \
-                if relax.enabled else 0.0
-            lhs = fu + float(gu @ d) + 0.5 * sig * delta * dd
-            if lhs >= f.value(cand) - slack:
-                accepted = cand
-                break
-        if accepted is None:
-            raise LineSearchDiverged(ctx.i + 1, LINE_SEARCH_CAP)
-        avg.update(accepted, delta)
-        sumsq += dd
-        u = accepted
-        fu = f.value(u)
-        gu = f.gradient(u)
-        if record is not None:
-            record.append({'l': l, 'delta': delta, 'gamma': avg.gamma,
-                           'u': u.copy(), 'z': avg.a.copy()})
-        if _stop_gate(avg.gamma, bst.Gamma_prev, l, bst.l_prev, relax.enabled) \
-                and math.sqrt(dd / avg.gamma) <= psi_val:
-            stopped = True
-            break
-    if not stopped and cap_error:
-        raise InnerIterationCap(ctx.i + 1, inner_cap)
-    if avg.gamma < bst.Gamma_prev:
-        bst.delta_min *= ls.tau
-    return InnerResult(u, avg.a.copy(), sumsq / avg.gamma, avg.gamma, l, delta)
+        if delta1 is None:
+            delta, alpha, gamma_new, u_new, a_new = \
+                _line_search(ctx, delta0, trial)
+        else:
+            delta = delta1 / l
+            alpha = 1.0 if l == 1 else 2.0 / (l + 1.0)
+            gamma_new = l * (l + 1.0) / (2.0 * delta1)
+            _, _, u_new, a_new = point(alpha, delta)
+        du = u_new - u
+        yield (u_new, a_new, float(du @ du), gamma_new, delta,
+               np.linalg.norm(a_new - a), {'alpha': alpha})
+        u, a, gamma = u_new, a_new, gamma_new
 
 
 def accelerated_loop(ctx, bst, psi_val, schedule='adaptive', record=None,
@@ -348,82 +400,20 @@ def accelerated_loop(ctx, bst, psi_val, schedule='adaptive', record=None,
     gamma^l the running sum of 1/delta^j. Stopping mirrors the multistep
     rule with displacement measured on the averages a^l.
     """
-    ls = ctx.ls
-    f = ctx.block.f
-    relax = ctx.relax
-    sig = 1.0 - ls.sigma
     if schedule not in ('adaptive', 'constant'):
         raise ValueError(f"unknown schedule {schedule!r}")
+    delta1 = None
     if schedule == 'constant':
-        zeta = f.lipschitz
+        zeta = ctx.block.f.lipschitz
         if zeta is None:
             raise MissingLipschitz(
                 f"block {ctx.i + 1}: constant schedule needs a Lipschitz "
                 "constant")
-        delta1 = 2.0 * zeta / sig if zeta > 0.0 else bst.delta_min
-    delta0 = _bb_seed(ctx, bst)
-    eps = relax.eps(ctx.k) if relax.enabled else 0.0
-    u = bst.x.copy()
-    a = bst.x.copy()
-    Lam = 0.0
-    gamma = 0.0
-    sumsq = 0.0
-    delta = delta0
-    l = 0
-    stopped = False
-    while l < inner_cap:
-        l += 1
-        if schedule == 'constant':
-            delta = delta1 / l
-            alpha = 1.0 if l == 1 else 2.0 / (l + 1.0)
-            gamma_new = l * (l + 1.0) / (2.0 * delta1)
-            abar = (1.0 - alpha) * a + alpha * u
-            gbar = f.gradient(abar)
-            u_new = _composite_argmin(ctx, gbar, u, delta)
-            a_new = (1.0 - alpha) * a + alpha * u_new
-        else:
-            accepted = False
-            for j in range(LINE_SEARCH_CAP + 1):
-                theta = 1.0 / (delta0 * ls.eta ** j)
-                delta = 2.0 / (theta + math.sqrt(theta * theta
-                                                 + 4.0 * theta * Lam))
-                alpha = 1.0 / (1.0 + delta * Lam)
-                gamma_trial = Lam + 1.0 / delta
-                abar = (1.0 - alpha) * a + alpha * u
-                gbar = f.gradient(abar)
-                u_new = _composite_argmin(ctx, gbar, u, delta)
-                a_new = (1.0 - alpha) * a + alpha * u_new
-                step = a_new - abar
-                ss = float(step @ step)
-                slack = eps * gamma_trial ** (-(1.0 + relax.omega_accelerated)) \
-                    if relax.enabled else 0.0
-                lhs = f.value(abar) + float(gbar @ step) \
-                    + 0.5 * sig * (delta / alpha) * ss
-                if lhs >= f.value(a_new) - slack:
-                    accepted = True
-                    break
-            if not accepted:
-                raise LineSearchDiverged(ctx.i + 1, LINE_SEARCH_CAP)
-            Lam = gamma_trial
-            gamma_new = Lam
-        du = u_new - u
-        sumsq += float(du @ du)
-        a_disp = np.linalg.norm(a_new - a)
-        u = u_new
-        a = a_new
-        gamma = gamma_new
-        if record is not None:
-            record.append({'l': l, 'delta': delta, 'alpha': alpha,
-                           'gamma': gamma, 'u': u.copy(), 'z': a.copy()})
-        if _stop_gate(gamma, bst.Gamma_prev, l, bst.l_prev, relax.enabled) \
-                and a_disp <= psi_val:
-            stopped = True
-            break
-    if not stopped and cap_error:
-        raise InnerIterationCap(ctx.i + 1, inner_cap)
-    if gamma < bst.Gamma_prev:
-        bst.delta_min *= ls.tau
-    return InnerResult(u, a.copy(), sumsq / gamma, gamma, l, delta)
+        delta1 = 2.0 * zeta / (1.0 - ctx.ls.sigma) if zeta > 0.0 \
+            else bst.delta_min
+    return _run_inner(ctx, bst, psi_val,
+                      _accelerated_iterates(ctx, bst, delta1), record,
+                      inner_cap, cap_error)
 
 
 def exact_block_solve(ctx, bst, cg_tol=1e-6, cg_maxit=100000):

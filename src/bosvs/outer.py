@@ -27,7 +27,8 @@ from .inner import (BlockState, BlockWorkspace, InnerContext, LineSearchParams,
                     RelaxationParams, accelerated_loop, exact_block_solve,
                     generalized_step, multistep_loop)
 from .linops import assemble_back_sub, back_substitute
-from .problem import b_i_k, objective
+# b_i_k is the reference form of the sweep's b_ik; perfbench traces it here
+from .problem import b_i_k, objective  # noqa: F401
 
 __all__ = ['OuterParams', 'OuterState', 'TraceRecord', 'SolveResult',
            'error_measure', 'outer_step', 'solve', 'energy_E',
@@ -176,17 +177,6 @@ class OuterState:
         return [b.Gamma_prev for b in self.bstates]
 
 
-class _Snapshot:
-    """State view handed to energy_E: entering iterates, fresh weights."""
-
-    def __init__(self, x, y, lam, deltas, Gammas):
-        self.x = x
-        self.y = y
-        self.lam = lam
-        self.deltas = deltas
-        self.Gammas = Gammas
-
-
 class TraceRecord:
     """One outer iteration's diagnostics."""
 
@@ -287,11 +277,11 @@ def energy_E(p, state, rho, alpha, reference, bs, mode='multistep'):
     return float(out)
 
 
-def _dispatch_block(p, i, s, params, workspaces, scheme):
+def _dispatch_block(p, i, s, params, workspaces, b_ik):
     bst = s.bstates[i]
-    ctx = InnerContext(p, i, b_i_k(p, i, s._z_partial, s.y), s.lam,
-                       params.rho, params.ls, params.relax, s.k,
-                       workspaces[i])
+    ctx = InnerContext(p, i, b_ik, s.lam, params.rho, params.ls, params.relax,
+                       s.k, workspaces[i])
+    scheme = params.scheme_for(i, p.m)
     if scheme == 'generalized':
         return generalized_step(ctx, bst)
     if scheme == 'multistep':
@@ -303,52 +293,56 @@ def _dispatch_block(p, i, s, params, workspaces, scheme):
 
 
 def outer_step(p, s, params, bs, workspaces=None, t0=None):
-    """Advance the state by one outer iteration; returns (s, TraceRecord)."""
+    """Advance the state by one outer iteration; returns (s, TraceRecord).
+
+    The sweep applies each block operator once per iterate it needs:
+    ``prods[j]`` holds A_j y_j until block j is swept, then A_j z_j.
+    b_ik and A z - b are summed in the order of ``problem.b_i_k`` and
+    ``Problem.apply_A``.
+    """
     if workspaces is None:
         workspaces = [BlockWorkspace(blk.A) for blk in p.blocks]
     if t0 is None:
         t0 = time.perf_counter()
     m = p.m
     z = np.zeros(p.n)
-    s._z_partial = z  # blocks j < i already written when block i runs
+    prods = [None] + [p.blocks[j].A.apply(s.y[p.block_slice(j)])
+                      for j in range(1, m)]
     results = []
     for i in range(m):
+        sl = p.block_slice(i)
         bst = s.bstates[i]
-        bst.x = s.x[p.block_slice(i)].copy()
-        res = _dispatch_block(p, i, s, params, workspaces,
-                              params.scheme_for(i, m))
-        z[p.block_slice(i)] = res.z
+        bst.x = s.x[sl].copy()
+        b_ik = p.b.copy()
+        for q in prods[:i] + prods[i + 1:]:
+            b_ik -= q
+        res = _dispatch_block(p, i, s, params, workspaces, b_ik)
+        z[sl] = res.z
+        prods[i] = p.blocks[i].A.apply(z[sl])
         results.append(res)
-    del s._z_partial
-    r_list = [res.r for res in results]
-    primal_vec = p.apply_A(z) - p.b
-    e = error_measure(params.thetas, z, s.y, r_list, p, primal_vec)
-    E = None
-    if params.reference is not None:
-        snap = _Snapshot(s.x, s.y, s.lam,
-                         [res.delta_final for res in results],
-                         [res.Gamma for res in results])
-        E = energy_E(p, snap, params.rho, params.alpha, params.reference,
-                     bs, params.energy_mode(m))
-    rec = TraceRecord(s.k, time.perf_counter() - t0, objective(p, z), e,
-                      np.linalg.norm(primal_vec), E,
-                      [res.inner_iters for res in results],
-                      [res.delta_final for res in results],
-                      [res.Gamma for res in results])
-    # correction step, then roll the per-block bookkeeping forward
-    off1 = int(p.offsets[1])
-    x_new = np.concatenate([res.x_next for res in results])
-    y_new = np.empty_like(s.y)
-    y_new[:off1] = z[:off1]
-    y_new[off1:] = back_substitute(bs, s.y[off1:], z[off1:], params.alpha)
-    for i, res in enumerate(results):
-        bst = s.bstates[i]
-        bst.x_prev = s.x[p.block_slice(i)].copy()
+        # roll the per-block bookkeeping forward
+        bst.x_prev = bst.x
         bst.delta_prev = res.delta_final
         bst.Gamma_prev = res.Gamma
         bst.l_prev = res.inner_iters
+    r_list = [res.r for res in results]
+    primal_vec = sum(prods, np.zeros(p.rows)) - p.b
+    e = error_measure(params.thetas, z, s.y, r_list, p, primal_vec)
+    E = None
+    if params.reference is not None:
+        E = energy_E(p, s, params.rho, params.alpha, params.reference,
+                     bs, params.energy_mode(m))
+    rec = TraceRecord(s.k, time.perf_counter() - t0, objective(p, z), e,
+                      np.linalg.norm(primal_vec), E,
+                      [res.inner_iters for res in results], s.deltas,
+                      s.Gammas)
+    # correction step
+    off1 = int(p.offsets[1])
+    y_new = np.empty_like(s.y)
+    y_new[:off1] = z[:off1]
+    y_new[off1:] = back_substitute(bs, s.y[off1:], z[off1:], params.alpha)
     s.lam = s.lam + params.alpha * params.rho * primal_vec
-    s.x = x_new
+    s.x = np.concatenate([res.x_next for res in results])
     s.y = y_new
     s.z = z
     s.e_prev = e
@@ -367,7 +361,10 @@ def solve(p, params, x0=None, lam0=None, callbacks=None,
     and raise_on_maxiter is set.
     """
     bs = assemble_back_sub([blk.A for blk in p.blocks[1:]])
-    workspaces = [BlockWorkspace(blk.A) for blk in p.blocks]
+    # blocks 2..m reuse the self-Grams back substitution already built
+    workspaces = [BlockWorkspace(p.blocks[0].A)] + [
+        BlockWorkspace(blk.A, row[-1])
+        for blk, row in zip(p.blocks[1:], bs.mblocks)]
     s = OuterState(p, params, x0, lam0)
     callbacks = list(callbacks or [])
     trace = []

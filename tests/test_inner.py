@@ -328,17 +328,21 @@ def test_stepsize_bounds_hold_across_runs():
 
 
 def test_line_search_diverged_on_cliff():
-    ctx, bst = one_block(linops.IdentityOp(4), CliffSmooth(),
-                         prox.ZeroProx(), rho=1.0, seed=110)
-    ctx.b_ik = 0.5 * np.ones(4)
-    ctx.lam = np.zeros(4)
-    ctx.c_vec = ctx.b_ik - ctx.lam / ctx.rho
-    ctx._atc = None
-    bst.x = np.zeros(4)
-    with pytest.raises(LineSearchDiverged) as info:
-        inner.generalized_step(ctx, bst)
-    assert info.value.block == 1
-    assert info.value.trials == inner.LINE_SEARCH_CAP
+    # every caller of the shared line search reports the same failure
+    for step in (inner.generalized_step,
+                 lambda ctx, bst: inner.multistep_loop(ctx, bst, np.inf),
+                 lambda ctx, bst: inner.accelerated_loop(ctx, bst, np.inf)):
+        ctx, bst = one_block(linops.IdentityOp(4), CliffSmooth(),
+                             prox.ZeroProx(), rho=1.0, seed=110)
+        ctx.b_ik = 0.5 * np.ones(4)
+        ctx.lam = np.zeros(4)
+        ctx.c_vec = ctx.b_ik - ctx.lam / ctx.rho
+        ctx._atc = None
+        bst.x = np.zeros(4)
+        with pytest.raises(LineSearchDiverged) as info:
+            step(ctx, bst)
+        assert info.value.block == 1
+        assert info.value.trials == inner.LINE_SEARCH_CAP
 
 
 def test_running_average_matches_batch():

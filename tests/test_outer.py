@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 
-from bosvs import inner, linops, outer, problem, prox
+from bosvs import bench, inner, linops, outer, problem, prox
 from bosvs.errors import (DimensionMismatch, MaxItersReached,
                           MissingReference, NegativeR)
 
@@ -138,6 +138,59 @@ def test_outer_step_matches_hand_sweep():
         assert bst.delta_prev == res.delta_final
         assert bst.Gamma_prev == res.Gamma
         assert bst.l_prev == res.inner_iters
+
+
+def test_outer_step_applies_each_block_operator_once_per_iterate(
+        monkeypatch):
+    p = bench.make_deblur(bench.DeblurConfig(size=8))
+    params = outer.OuterParams(rho=5e-4, scheme='generalized')
+    bs = linops.assemble_back_sub([blk.A for blk in p.blocks[1:]])
+    s = outer.OuterState(p, params)
+    s.y = np.random.default_rng(5).standard_normal(p.n)
+    y0 = s.y.copy()
+    applies = []
+
+    def counted(i, apply):
+        def wrapper(x):
+            applies.append(i)
+            return apply(x)
+        return wrapper
+
+    for i, blk in enumerate(p.blocks):
+        blk.A.apply = counted(i, blk.A.apply)
+    seen = []
+    step = outer.generalized_step
+
+    def recording_step(ctx, bst):
+        seen.append((ctx.i, ctx.b_ik.copy()))
+        return step(ctx, bst)
+
+    monkeypatch.setattr(outer, 'generalized_step', recording_step)
+    s, _ = outer.outer_step(p, s, params, bs)
+    # A_2 y_2, A_3 y_3, then A_i z_i once per block: 2m - 1 applies
+    assert sorted(applies) == [0, 1, 1, 2, 2]
+    assert [i for i, _ in seen] == [0, 1, 2]
+    for i, b_ik in seen:
+        assert b_ik.tobytes() == problem.b_i_k(p, i, s.z, y0).tobytes()
+
+
+def test_solve_builds_each_self_gram_once(monkeypatch):
+    p = bench.make_deblur(bench.DeblurConfig(size=8))
+    own = [blk.A for blk in p.blocks]
+    calls = []
+    gram = linops.gram
+
+    def recording_gram(a, b):
+        if a is b and any(a is op for op in own):
+            calls.append(a)
+        return gram(a, b)
+
+    monkeypatch.setattr(linops, 'gram', recording_gram)
+    outer.solve(p, outer.OuterParams(rho=5e-4, scheme='generalized',
+                                     max_outer_iters=1),
+                raise_on_maxiter=False)
+    assert len(calls) == 3
+    assert all(any(c is op for c in calls) for op in own)
 
 
 def test_solve_converges_on_easy_problem():
