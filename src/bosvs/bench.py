@@ -17,7 +17,8 @@ import numpy as np
 from .errors import BadDims, MaxItersReached
 from .linops import (BlurOperator, DenseOp, DiffOperator, HaarTransform,
                      IdentityOp, NegIdentityOp, VStackOp, ZeroOp)
-from .outer import (OuterParams, solve, write_summary, write_trace_csv)
+from .outer import (SCHEMES, OuterParams, solve, write_summary,
+                    write_trace_csv)
 from .problem import Block, Problem, objective
 from .problem_io import load_problem
 from .prox import (GroupL2, QuadraticLS, ScaledL1, ZeroProx, ZeroSmooth,
@@ -212,6 +213,8 @@ def run_benchmark(problem_file, scheme, params, out_dir, prefix=None,
     ``refsolve`` unless supplied. Returns 0 when the run converged and
     2 when it exhausted its iteration budget.
     """
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
     p = load_problem(problem_file) if isinstance(problem_file, (str, os.PathLike)) \
         else problem_file
     os.makedirs(out_dir, exist_ok=True)
@@ -220,12 +223,7 @@ def run_benchmark(problem_file, scheme, params, out_dir, prefix=None,
         phi_star, _ = refsolve(p, params.rho, params.alpha)
     run_params = copy.copy(params)
     run_params.scheme = scheme
-    code = 0
-    try:
-        result = solve(p, run_params)
-    except MaxItersReached as exc:
-        result = exc.result
-        code = 2
+    result = solve(p, run_params, raise_on_maxiter=False)
     write_trace_csv(result.trace, os.path.join(out_dir, f"{prefix}_trace.csv"),
                     p.m)
     scale = max(abs(phi_star), 1e-300)
@@ -238,4 +236,4 @@ def run_benchmark(problem_file, scheme, params, out_dir, prefix=None,
     write_summary(result, os.path.join(out_dir, f"{prefix}_summary.json"),
                   extra={'scheme': scheme, 'phi_star': phi_star,
                          'problem': str(problem_file)})
-    return code
+    return 0 if result.converged else 2

@@ -48,21 +48,19 @@ LINE_SEARCH_CAP = 60
 class LineSearchParams:
     """Backtracking and safeguard constants.
 
-    Requires 0 < sigma < 1 < tau <= eta and 0 < delta_min < delta_max.
-    Defaults match the benchmark configuration.
+    sigma (descent slack), eta (backtracking factor) and tau (delta_min
+    ratchet) are fixed at the benchmark configuration; the analysis needs
+    0 < sigma < 1 < tau <= eta. The stepsize bounds are settable and need
+    0 < delta_min < delta_max.
     """
 
-    def __init__(self, sigma=1e-5, eta=3.0, tau=1.1,
-                 delta_min=1e-10, delta_max=1e10):
-        if not (0.0 < sigma < 1.0):
-            raise ValueError(f"sigma must be in (0, 1), got {sigma}")
-        if not (1.0 < tau <= eta):
-            raise ValueError(f"need 1 < tau <= eta, got tau={tau}, eta={eta}")
+    sigma = 1e-5
+    eta = 3.0
+    tau = 1.1
+
+    def __init__(self, delta_min=1e-10, delta_max=1e10):
         if not (0.0 < delta_min < delta_max):
             raise ValueError("need 0 < delta_min < delta_max")
-        self.sigma = float(sigma)
-        self.eta = float(eta)
-        self.tau = float(tau)
         self.delta_min = float(delta_min)
         self.delta_max = float(delta_max)
 
@@ -74,24 +72,19 @@ class RelaxationParams:
     multistep slack is eps^k * delta * gamma**(-omega_multistep) and the
     accelerated slack eps^k * gamma**(-(1 + omega_accelerated)). The
     stopping rule gains the disjunct l >= l_prev, with delta_min_i
-    multiplied by tau whenever the gamma branch ends up failing. The
-    exponents must keep the slack sequences summable: eps_exponent > 1,
-    omega_multistep > 1, omega_accelerated > 0.5.
+    multiplied by tau whenever the gamma branch ends up failing. Only
+    ``enabled`` is settable; the fixed exponents keep the slack sequences
+    summable (eps_exponent > 1, omega_multistep > 1,
+    omega_accelerated > 0.5).
     """
 
-    def __init__(self, enabled=True, eps0=10.0, eps_exponent=1.1,
-                 omega_multistep=1.2, omega_accelerated=0.6):
-        if eps_exponent <= 1.0:
-            raise ValueError("eps_exponent must exceed 1")
-        if omega_multistep <= 1.0:
-            raise ValueError("omega_multistep must exceed 1")
-        if omega_accelerated <= 0.5:
-            raise ValueError("omega_accelerated must exceed 0.5")
+    eps0 = 10.0
+    eps_exponent = 1.1
+    omega_multistep = 1.2
+    omega_accelerated = 0.6
+
+    def __init__(self, enabled=True):
         self.enabled = bool(enabled)
-        self.eps0 = float(eps0)
-        self.eps_exponent = float(eps_exponent)
-        self.omega_multistep = float(omega_multistep)
-        self.omega_accelerated = float(omega_accelerated)
 
     def eps(self, k):
         """Slack scale eps^k; 0 when the relaxation is disabled."""
@@ -127,6 +120,22 @@ class BlockState:
         self.delta_min = float(delta_min)
         self.Gamma_prev = 0.0
         self.l_prev = 1
+        self._grads = []              # (point, grad f(point)) pairs
+
+    def gradient(self, f, u):
+        """grad f(u), held while u is still this block's x or x_prev.
+
+        Points match by identity (iterates are rebound, never written in
+        place), so the BB seed at x^k reuses the gradient that iteration
+        k-1 took at x^{k-1}.
+        """
+        for pt, g in self._grads:
+            if pt is u:
+                return g
+        g = f.gradient(u)
+        self._grads = [(pt, h) for pt, h in self._grads
+                       if pt is self.x or pt is self.x_prev] + [(u, g)]
+        return g
 
 
 class BlockWorkspace:
@@ -188,10 +197,15 @@ def bb_stepsize(f, x_cur, x_prev):
 
 
 def _bb_seed(ctx, bst):
-    """Safeguarded BB initial stepsize; delta_min_i when unavailable."""
+    """Safeguarded ``bb_stepsize`` from the gradients ``bst`` holds, so
+    only the one at x^k is new; delta_min_i when unavailable."""
     if ctx.k > 1 and bst.x_prev is not None:
-        s = bb_stepsize(ctx.block.f, bst.x, bst.x_prev)
-        if s is not None:
+        d = bst.x - bst.x_prev
+        nn = float(d @ d)
+        if nn != 0.0:
+            f = ctx.block.f
+            s = float((bst.gradient(f, bst.x)
+                       - bst.gradient(f, bst.x_prev)) @ d) / nn
             return sorted((bst.delta_min, s, ctx.ls.delta_max))[1]
     return bst.delta_min
 
@@ -234,15 +248,14 @@ def _line_search(ctx, delta0, trial):
     raise LineSearchDiverged(ctx.i + 1, LINE_SEARCH_CAP)
 
 
-def _linearized_step(ctx, u, fu, delta0, slack):
-    """Backtracked linearized step from u, given fu = f(u).
+def _linearized_step(ctx, u, fu, g, delta0, slack):
+    """Backtracked linearized step from u, given fu = f(u), g = grad f(u).
 
     Accepts the first trial delta whose candidate u + d satisfies
-    f(u) + <grad f(u), d> + (1 - sigma) delta ||d||^2 / 2
+    f(u) + <g, d> + (1 - sigma) delta ||d||^2 / 2
     >= f(u + d) - slack(delta). Returns (u + d, f(u + d), ||d||^2, delta).
     """
     f = ctx.block.f
-    g = f.gradient(u)
     sig = 1.0 - ctx.ls.sigma
 
     def trial(delta):
@@ -258,10 +271,11 @@ def _linearized_step(ctx, u, fu, delta0, slack):
 
 def generalized_step(ctx, bst):
     """One BB-seeded linearized step; returns InnerResult with l = 1."""
+    f = ctx.block.f
     eps = ctx.relax.eps(ctx.k)
     x_new, _, dd, delta = _linearized_step(
-        ctx, bst.x, ctx.block.f.value(bst.x), _bb_seed(ctx, bst),
-        lambda _: eps)
+        ctx, bst.x, f.value(bst.x), bst.gradient(f, bst.x),
+        _bb_seed(ctx, bst), lambda _: eps)
     if ctx.k > 1 and bst.delta_prev is not None \
             and delta > max(bst.delta_prev, bst.delta_min):
         bst.delta_min *= ctx.ls.tau
@@ -315,15 +329,16 @@ def _multistep_iterates(ctx, bst):
     eps = ctx.relax.eps(ctx.k)
     omega = ctx.relax.omega_multistep
     delta0 = _bb_seed(ctx, bst)
-    u = bst.x.copy()
-    fu = f.value(u)
+    u = bst.x
+    fu, g = f.value(u), bst.gradient(f, u)
     avg = RunningAverage(u)
     while True:
         u, fu, dd, delta = _linearized_step(
-            ctx, u, fu, delta0,
+            ctx, u, fu, g, delta0,
             lambda d: eps * d * (avg.gamma + 1.0 / d) ** (-omega))
         avg.update(u, delta)
         yield u, avg.a, dd, avg.gamma, delta, math.sqrt(dd / avg.gamma), {}
+        g = f.gradient(u)
 
 
 def multistep_loop(ctx, bst, psi_val, record=None,

@@ -198,32 +198,27 @@ class HaarTransform(LinOp):
     @staticmethod
     def _fwd_axis(x, axis):
         # pairwise (sum, diff)/sqrt(2) along one axis, averages first
-        a = np.take(x, np.arange(0, x.shape[axis], 2), axis=axis)
-        b = np.take(x, np.arange(1, x.shape[axis], 2), axis=axis)
+        x = x.swapaxes(0, axis)
+        a, b = x[0::2], x[1::2]
         s = 1.0 / np.sqrt(2.0)
-        return np.concatenate([(a + b) * s, (a - b) * s], axis=axis)
+        return np.concatenate([(a + b) * s, (a - b) * s]).swapaxes(0, axis)
 
     @staticmethod
     def _inv_axis(x, axis):
-        h = x.shape[axis] // 2
-        a = np.take(x, np.arange(h), axis=axis)
-        d = np.take(x, np.arange(h, 2 * h), axis=axis)
+        x = x.swapaxes(0, axis)
+        h = x.shape[0] // 2
+        a, d = x[:h], x[h:]
         s = 1.0 / np.sqrt(2.0)
         out = np.empty_like(x)
-        sl_even = [slice(None)] * x.ndim
-        sl_odd = [slice(None)] * x.ndim
-        sl_even[axis] = slice(0, None, 2)
-        sl_odd[axis] = slice(1, None, 2)
-        out[tuple(sl_even)] = (a + d) * s
-        out[tuple(sl_odd)] = (a - d) * s
-        return out
+        out[0::2] = (a + d) * s
+        out[1::2] = (a - d) * s
+        return out.swapaxes(0, axis)
 
     def apply(self, v):
         x = self._check_apply(v).reshape(self.imrows, self.imcols).copy()
         r, c = self.imrows, self.imcols
         for _ in range(self.levels):
-            ll = self._fwd_axis(self._fwd_axis(x[:r, :c], 0), 1)
-            x[:r, :c] = ll
+            x[:r, :c] = self._fwd_axis(self._fwd_axis(x[:r, :c], 0), 1)
             r //= 2
             c //= 2
         return x.ravel()

@@ -8,7 +8,7 @@ error measure
 
 then corrects: y_1 <- z_1, y_+ <- y_+ + alpha M^{-T} H (z_+ - y_+) by
 back substitution, lam <- lam + alpha rho (A z - b). The reported
-solution is the z iterate (switchable to x).
+solution is the z iterate.
 
 ``solve`` drives outer_step until e^k falls below the stopping tolerance.
 ``energy_E`` evaluates the merit function used by the decay diagnostics
@@ -66,9 +66,9 @@ class OuterParams:
         Penalty parameter, > 0.
     alpha : float
         Correction stepsize, strictly inside (0, 1).
-    scheme : str or list of str
-        One of 'generalized', 'multistep', 'accelerated', 'exact'; a list
-        gives one scheme per block.
+    scheme : str
+        One of 'generalized', 'multistep', 'accelerated', 'exact', used
+        for every block.
     accel_schedule : str
         'adaptive' (line-searched) or 'constant' (needs Lipschitz
         constants).
@@ -76,73 +76,45 @@ class OuterParams:
     relax : RelaxationParams
         Practical slack; construct with enabled=False for the strict
         variants.
-    thetas : tuple or None
-        Error-measure weights; None picks the defaults tied to rho,
-        sigma, alpha.
     stop_tol : float or None
         Terminate when e^k <= stop_tol. None resolves after the first
         iteration to 1e-8 * (1 + |Phi(z^1)|).
     max_outer_iters : int
         Outer iteration budget, >= 1.
-    psi_ms, psi_acc : callables or None
-        Inner forcing functions of e^{k-1}; None picks the defaults.
-    cg_tol, cg_maxit : exact-scheme CG controls.
+    cg_tol : float
+        Absolute gradient-norm tolerance of the exact scheme's CG.
     reference : (x_star, lam_star) or None
         Enables the E_k column in the trace.
-    solution_iterate : 'z' or 'x'
-        Which iterate the result reports.
+
+    The error-measure weights ``thetas`` are ``default_thetas(rho, sigma,
+    alpha)``, and the inner forcing functions of e^{k-1} are
+    ``psi_multistep`` and ``psi_accelerated``.
     """
 
     def __init__(self, rho, alpha=0.999, scheme='accelerated',
-                 accel_schedule='adaptive', ls=None, relax=None, thetas=None,
-                 stop_tol=None, max_outer_iters=100000, psi_ms=None,
-                 psi_acc=None, cg_tol=1e-6, cg_maxit=100000, reference=None,
-                 solution_iterate='z'):
+                 accel_schedule='adaptive', ls=None, relax=None,
+                 stop_tol=None, max_outer_iters=100000, cg_tol=1e-6,
+                 reference=None):
         if rho <= 0:
             raise ValueError("rho must be positive")
         if not (0.0 < alpha < 1.0):
             raise ValueError("alpha must lie strictly inside (0, 1)")
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {scheme!r}")
         self.rho = float(rho)
         self.alpha = float(alpha)
         self.scheme = scheme
         self.accel_schedule = accel_schedule
         self.ls = ls if ls is not None else LineSearchParams()
         self.relax = relax if relax is not None else RelaxationParams()
-        if thetas is None:
-            thetas = default_thetas(self.rho, self.ls.sigma, self.alpha)
-        if any(t <= 0 for t in thetas):
-            raise ValueError("thetas must be positive")
-        self.thetas = tuple(float(t) for t in thetas)
+        self.thetas = tuple(float(t) for t in default_thetas(
+            self.rho, self.ls.sigma, self.alpha))
         self.stop_tol = stop_tol
         self.max_outer_iters = int(max_outer_iters)
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be at least 1")
-        self.psi_ms = psi_ms if psi_ms is not None else psi_multistep
-        self.psi_acc = psi_acc if psi_acc is not None else psi_accelerated
         self.cg_tol = float(cg_tol)
-        self.cg_maxit = int(cg_maxit)
         self.reference = reference
-        if solution_iterate not in ('z', 'x'):
-            raise ValueError("solution_iterate must be 'z' or 'x'")
-        self.solution_iterate = solution_iterate
-
-    def scheme_for(self, i, m):
-        s = self.scheme
-        if isinstance(s, str):
-            name = s
-        else:
-            s = list(s)
-            if len(s) != m:
-                raise ValueError(f"scheme list needs {m} entries")
-            name = s[i]
-        if name not in SCHEMES:
-            raise ValueError(f"unknown scheme {name!r}")
-        return name
-
-    def energy_mode(self, m):
-        """Generalized energy when every block runs generalized steps."""
-        names = {self.scheme_for(i, m) for i in range(m)}
-        return 'generalized' if names == {'generalized'} else 'multistep'
 
 
 class OuterState:
@@ -200,13 +172,11 @@ class TraceRecord:
 class SolveResult:
     """Final iterates, trace, and termination report."""
 
-    def __init__(self, p, solution, x, y, z, lam, trace, converged, reason,
-                 stop_tol):
+    def __init__(self, p, x, y, z, lam, trace, converged, reason, stop_tol):
         self.p = p
-        self.solution = solution
         self.x = x
         self.y = y
-        self.z = z
+        self.z = self.solution = z    # the reported solution is z
         self.lam = lam
         self.trace = trace
         self.converged = bool(converged)
@@ -281,15 +251,14 @@ def _dispatch_block(p, i, s, params, workspaces, b_ik):
     bst = s.bstates[i]
     ctx = InnerContext(p, i, b_ik, s.lam, params.rho, params.ls, params.relax,
                        s.k, workspaces[i])
-    scheme = params.scheme_for(i, p.m)
-    if scheme == 'generalized':
+    if params.scheme == 'generalized':
         return generalized_step(ctx, bst)
-    if scheme == 'multistep':
-        return multistep_loop(ctx, bst, params.psi_ms(s.e_prev))
-    if scheme == 'accelerated':
-        return accelerated_loop(ctx, bst, params.psi_acc(s.e_prev),
+    if params.scheme == 'multistep':
+        return multistep_loop(ctx, bst, psi_multistep(s.e_prev))
+    if params.scheme == 'accelerated':
+        return accelerated_loop(ctx, bst, psi_accelerated(s.e_prev),
                                 schedule=params.accel_schedule)
-    return exact_block_solve(ctx, bst, params.cg_tol, params.cg_maxit)
+    return exact_block_solve(ctx, bst, params.cg_tol)
 
 
 def outer_step(p, s, params, bs, workspaces=None, t0=None):
@@ -330,8 +299,10 @@ def outer_step(p, s, params, bs, workspaces=None, t0=None):
     e = error_measure(params.thetas, z, s.y, r_list, p, primal_vec)
     E = None
     if params.reference is not None:
+        mode = 'generalized' if params.scheme == 'generalized' \
+            else 'multistep'
         E = energy_E(p, s, params.rho, params.alpha, params.reference,
-                     bs, params.energy_mode(m))
+                     bs, mode)
     rec = TraceRecord(s.k, time.perf_counter() - t0, objective(p, z), e,
                       np.linalg.norm(primal_vec), E,
                       [res.inner_iters for res in results], s.deltas,
@@ -354,9 +325,9 @@ def solve(p, params, x0=None, lam0=None, callbacks=None,
           raise_on_maxiter=True):
     """Run the outer loop until e^k <= stop_tol or the budget runs out.
 
-    Returns a SolveResult whose ``solution`` is the final z iterate (or x
-    when configured). Callbacks receive (state, record) after every
-    iteration; a truthy return stops the run with reason 'callback'.
+    Returns a SolveResult whose ``solution`` is the final z iterate.
+    Callbacks receive (state, record) after every iteration; a truthy
+    return stops the run with reason 'callback'.
     Raises MaxItersReached (result attached) when the budget is exhausted
     and raise_on_maxiter is set.
     """
@@ -388,9 +359,8 @@ def solve(p, params, x0=None, lam0=None, callbacks=None,
         if stopped:
             reason = 'callback'
             break
-    solution = s.z if params.solution_iterate == 'z' else s.x
-    result = SolveResult(p, solution, s.x, s.y, s.z, s.lam, trace, converged,
-                         reason, stop_tol)
+    result = SolveResult(p, s.x, s.y, s.z, s.lam, trace, converged, reason,
+                         stop_tol)
     if not converged and reason == 'max_iters' and raise_on_maxiter:
         raise MaxItersReached(result)
     return result

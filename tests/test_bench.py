@@ -202,6 +202,9 @@ def test_run_benchmark_artifacts(tmp_path):
         assert float(t) >= 0.0
         assert float(e) < 2.0 or e == '-inf'
     assert os.path.exists(tmp_path / 'accelerated_trace.csv')
+    with pytest.raises(ValueError):
+        bench.run_benchmark(p, 'fastest', params, str(tmp_path),
+                            phi_star=phi_star)
     # exhausted budget reports exit code 2
     tight = outer.OuterParams(rho=1.0, scheme='generalized', stop_tol=1e-12,
                               max_outer_iters=3)

@@ -107,6 +107,16 @@ def test_bench_lasso_end_to_end(tmp_path):
     assert np.array_equal(p.blocks[0].f.data, q.blocks[0].f.data)
 
 
+def test_bench_deblur_default_tol_is_reachable(tmp_path):
+    out = str(tmp_path / 'out')
+    proc = run_cli(['bench', 'deblur', '--size', '8', '--scheme',
+                    'generalized', '--max-iters', '3000', '--out', out])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    with open(os.path.join(out, 'generalized_summary.json')) as fh:
+        summary = json.load(fh)
+    assert summary['converged'] and summary['stop_tol'] == 1e-3
+
+
 def test_bench_all_schemes(tmp_path):
     out = str(tmp_path / 'out')
     proc = run_cli(['bench', 'lasso', '--n', '30', '--d', '60', '--nnz',

@@ -54,24 +54,17 @@ class CliffSmooth(problem.SmoothPart):
 
 def test_param_validation():
     with pytest.raises(ValueError):
-        inner.LineSearchParams(sigma=0.0)
-    with pytest.raises(ValueError):
-        inner.LineSearchParams(sigma=1.5)
-    with pytest.raises(ValueError):
-        inner.LineSearchParams(tau=3.5, eta=3.0)
-    with pytest.raises(ValueError):
-        inner.LineSearchParams(tau=0.9)
-    with pytest.raises(ValueError):
         inner.LineSearchParams(delta_min=1.0, delta_max=0.5)
     with pytest.raises(ValueError):
-        inner.RelaxationParams(eps_exponent=1.0)
-    with pytest.raises(ValueError):
-        inner.RelaxationParams(omega_multistep=0.9)
-    with pytest.raises(ValueError):
-        inner.RelaxationParams(omega_accelerated=0.5)
-    relax = inner.RelaxationParams(eps0=10.0, eps_exponent=1.1)
+        inner.LineSearchParams(delta_min=0.0)
+    ls = inner.LineSearchParams()
+    assert 0.0 < ls.sigma < 1.0 < ls.tau <= ls.eta
+    relax = inner.RelaxationParams()
+    assert relax.eps_exponent > 1.0 and relax.omega_multistep > 1.0
+    assert relax.omega_accelerated > 0.5
     assert relax.eps(1) == 10.0
     assert relax.eps(8) == pytest.approx(10.0 / 8.0 ** 1.1, rel=1e-15)
+    assert inner.RelaxationParams(enabled=False).eps(8) == 0.0
 
 
 def test_bb_stepsize_is_rayleigh_quotient():
@@ -256,7 +249,8 @@ def test_generalized_delta_min_ratchet():
     f = quad_smooth(8, 6, seed=81)
     A = linops.DenseOp(rng.standard_normal((8, 6)))
     # huge slack makes the search accept the BB seed directly
-    relax = inner.RelaxationParams(enabled=True, eps0=1e12)
+    relax = inner.RelaxationParams(enabled=True)
+    relax.eps0 = 1e12
     for prev_small in [True, False]:
         ctx, bst = one_block(A, f, prox.ZeroProx(), k=2, seed=82)
         ctx.relax = relax

@@ -44,19 +44,12 @@ def test_outer_params_validation():
     with pytest.raises(ValueError):
         outer.OuterParams(rho=1.0, alpha=1.0)
     with pytest.raises(ValueError):
-        outer.OuterParams(rho=1.0, thetas=(1.0, 0.0, 1.0))
+        outer.OuterParams(rho=1.0, scheme='fastest')
     with pytest.raises(ValueError):
-        outer.OuterParams(rho=1.0, solution_iterate='y')
-    params = outer.OuterParams(rho=1.0, scheme=['generalized', 'exact'])
-    assert params.scheme_for(0, 2) == 'generalized'
-    assert params.scheme_for(1, 2) == 'exact'
-    with pytest.raises(ValueError):
-        params.scheme_for(0, 3)
-    with pytest.raises(ValueError):
-        outer.OuterParams(rho=1.0, scheme='fastest').scheme_for(0, 2)
-    assert outer.OuterParams(rho=1.0, scheme='generalized').energy_mode(3) \
-        == 'generalized'
-    assert params.energy_mode(2) == 'multistep'
+        outer.OuterParams(rho=1.0, scheme=['generalized', 'exact'])
+    params = outer.OuterParams(rho=4.0)
+    assert params.thetas == outer.default_thetas(4.0, params.ls.sigma,
+                                                 params.alpha)
 
 
 def test_error_measure_formula():
@@ -193,6 +186,25 @@ def test_solve_builds_each_self_gram_once(monkeypatch):
     assert all(any(c is op for c in calls) for op in own)
 
 
+def test_bb_seed_reuses_the_previous_gradient(monkeypatch):
+    # one gradient per outer iteration for generalized; multistep takes one
+    # per inner iteration, the BB seed sharing the first inner step's
+    p = bench.make_lasso(bench.LassoConfig(seed=0))
+    calls = []
+    gradient = prox.QuadraticLS.gradient
+
+    def counting_gradient(f, x):
+        calls.append(1)
+        return gradient(f, x)
+
+    monkeypatch.setattr(prox.QuadraticLS, 'gradient', counting_gradient)
+    for scheme in ('generalized', 'multistep'):
+        calls.clear()
+        res = outer.solve(p, outer.OuterParams(rho=1.0, scheme=scheme))
+        assert res.iterations > 10
+        assert len(calls) == sum(rec.inner_iters[0] for rec in res.trace)
+
+
 def test_solve_converges_on_easy_problem():
     p = lasso_like(31)
     params = outer.OuterParams(rho=1.0, scheme='generalized', stop_tol=1e-9,
@@ -225,10 +237,7 @@ def test_solve_callback_stop_and_solution_iterate():
                       raise_on_maxiter=False)
     assert res.reason == 'callback'
     assert res.iterations == 3
-    params_x = outer.OuterParams(rho=1.0, scheme='generalized',
-                                 stop_tol=1e-9, solution_iterate='x')
-    res_x = outer.solve(p, params_x)
-    assert np.array_equal(res_x.solution, res_x.x)
+    assert res.solution is res.z
 
 
 def test_solve_maxiter_behavior():
