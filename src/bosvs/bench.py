@@ -3,12 +3,12 @@
 Two desk-scale instance families: image deblurring with a total
 variation plus wavelet-sparsity objective (three blocks), and lasso
 consensus (two blocks). ``ista_oracle`` gives an independent reference
-solution for the lasso family. ``run_benchmark`` executes one scheme on
-a problem file, computes the reference objective by the accelerated
-refinement protocol, and writes trace, summary, and plot-data files.
+solution for the lasso family, and ``refsolve`` a reference objective by
+the accelerated refinement protocol for any problem. ``run_benchmark``
+executes one scheme on a problem and writes trace, summary, and
+plot-data files graded against a given reference objective.
 """
 
-import copy
 import math
 import os
 
@@ -17,10 +17,8 @@ import numpy as np
 from .errors import BadDims, MaxItersReached
 from .linops import (BlurOperator, DenseOp, DiffOperator, HaarTransform,
                      IdentityOp, NegIdentityOp, VStackOp, ZeroOp)
-from .outer import (SCHEMES, OuterParams, solve, write_summary,
-                    write_trace_csv)
-from .problem import Block, Problem, objective
-from .problem_io import load_problem
+from .outer import OuterParams, solve, write_summary, write_trace_csv
+from .problem import Block, Problem
 from .prox import (GroupL2, QuadraticLS, ScaledL1, ZeroProx, ZeroSmooth,
                    soft_threshold)
 
@@ -187,43 +185,31 @@ def _stable_digits_callback(window=REFERENCE_WINDOW):
     return cb
 
 
-def refsolve(p, rho, alpha=0.999, cap=REFERENCE_CAP, relaxed=True):
+def refsolve(p, rho, alpha=0.999, cap=REFERENCE_CAP):
     """Reference objective by the accelerated refinement protocol.
 
     Runs the accelerated scheme until the objective's first eight
     significant digits stay unchanged over four consecutive iterations
     (cap 50000). Returns (phi_star, SolveResult).
     """
-    from .inner import RelaxationParams
     params = OuterParams(rho=rho, alpha=alpha, scheme='accelerated',
-                         stop_tol=0.0, max_outer_iters=cap,
-                         relax=RelaxationParams(enabled=relaxed))
+                         stop_tol=0.0, max_outer_iters=cap)
     result = solve(p, params, callbacks=[_stable_digits_callback()],
                    raise_on_maxiter=False)
     return result.final_objective, result
 
 
-def run_benchmark(problem_file, scheme, params, out_dir, prefix=None,
-                  phi_star=None):
-    """Run one scheme on a problem file and write its artifacts.
+def run_benchmark(p, params, out_dir, phi_star, prefix=None):
+    """Run ``params.scheme`` on problem p and write its artifacts.
 
     Writes <prefix>_trace.csv, <prefix>_summary.json, and
     <prefix>_plotdata.csv (wall time against log10 relative objective
-    error versus the reference). The reference objective comes from
-    ``refsolve`` unless supplied. Returns 0 when the run converged and
-    2 when it exhausted its iteration budget.
+    error versus the reference objective phi_star) into the existing
+    directory out_dir; prefix defaults to the scheme name. Returns 0
+    when the run converged and 2 otherwise.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    p = load_problem(problem_file) if isinstance(problem_file, (str, os.PathLike)) \
-        else problem_file
-    os.makedirs(out_dir, exist_ok=True)
-    prefix = prefix or scheme
-    if phi_star is None:
-        phi_star, _ = refsolve(p, params.rho, params.alpha)
-    run_params = copy.copy(params)
-    run_params.scheme = scheme
-    result = solve(p, run_params, raise_on_maxiter=False)
+    prefix = prefix or params.scheme
+    result = solve(p, params, raise_on_maxiter=False)
     write_trace_csv(result.trace, os.path.join(out_dir, f"{prefix}_trace.csv"),
                     p.m)
     scale = max(abs(phi_star), 1e-300)
@@ -234,6 +220,5 @@ def run_benchmark(problem_file, scheme, params, out_dir, prefix=None,
             val = math.log10(rel) if rel > 0 else -math.inf
             fh.write(f"{rec.time_s!r},{val!r}\n")
     write_summary(result, os.path.join(out_dir, f"{prefix}_summary.json"),
-                  extra={'scheme': scheme, 'phi_star': phi_star,
-                         'problem': str(problem_file)})
+                  extra={'scheme': params.scheme, 'phi_star': phi_star})
     return 0 if result.converged else 2

@@ -2,9 +2,10 @@
 
 Subcommands: ``solve`` runs one scheme on a problem file; ``bench
 deblur`` / ``bench lasso`` generate an instance, save it, and run one or
-all schemes; ``refsolve`` computes the reference objective by the
-accelerated refinement protocol. Exit code 0 on convergence, 2 when the
-iteration budget ran out, 1 on any other error.
+all schemes on it against ``refsolve``'s (deblur) or the ISTA oracle's
+(lasso) objective; ``refsolve`` runs the accelerated refinement protocol.
+Exit code 0 on convergence, 2 when a run stopped short of it, 1 on any
+other error.
 """
 
 import argparse
@@ -18,10 +19,9 @@ from .bench import (DeblurConfig, LassoConfig, REFERENCE_CAP, ista_oracle,
                     make_deblur, make_lasso, refsolve, run_benchmark)
 from .errors import MaxItersReached, SolverError
 from .inner import RelaxationParams
-from .outer import OuterParams, solve, write_summary, write_trace_csv
+from .outer import SCHEMES, OuterParams, solve, write_summary, write_trace_csv
+from .problem import objective
 from .problem_io import load_problem, save_problem
-
-SCHEME_CHOICES = ['generalized', 'multistep', 'accelerated', 'exact']
 
 
 def _bool(text):
@@ -36,7 +36,7 @@ def _bool(text):
 def _build_params(args, scheme):
     return OuterParams(
         rho=args.rho, alpha=args.alpha, scheme=scheme,
-        accel_schedule=getattr(args, 'accel_schedule', 'adaptive'),
+        accel_schedule=args.accel_schedule,
         relax=RelaxationParams(enabled=args.relaxed),
         stop_tol=args.tol, max_outer_iters=args.max_iters)
 
@@ -56,13 +56,6 @@ def _add_common(sp, rho_default=None, tol_default=None):
                     default='adaptive')
 
 
-def _add_ref_rho(sp):
-    sp.add_argument('--ref-rho', type=float, default=None,
-                    help='penalty used for the reference-objective run '
-                         '(default: same as --rho; the refinement protocol '
-                         'can stall below the optimum when rho is tiny)')
-
-
 def _cmd_solve(args):
     p = load_problem(args.problem)
     result = solve(p, _build_params(args, args.scheme),
@@ -77,17 +70,16 @@ def _cmd_solve(args):
     return 0 if result.converged else 2
 
 
-def _bench_run_matrix(p, problem_path, args, out_dir):
-    schemes = SCHEME_CHOICES if args.scheme == 'all' else [args.scheme]
-    ref_rho = args.ref_rho if args.ref_rho is not None else args.rho
-    phi_star, _ = refsolve(p, ref_rho, args.alpha)
-    codes = {scheme: run_benchmark(problem_path, scheme,
-                                   _build_params(args, scheme), out_dir,
-                                   phi_star=phi_star)
+def _bench_run_matrix(p, args, phi_star):
+    os.makedirs(args.out, exist_ok=True)
+    problem_path = os.path.join(args.out, 'problem.json')
+    save_problem(p, problem_path)
+    schemes = SCHEMES if args.scheme == 'all' else [args.scheme]
+    codes = {scheme: run_benchmark(p, _build_params(args, scheme), args.out,
+                                   phi_star)
              for scheme in schemes}
-    index = {'problem': str(problem_path), 'phi_star': phi_star,
-             'schemes': codes}
-    with open(os.path.join(out_dir, 'index.json'), 'w') as fh:
+    index = {'problem': problem_path, 'phi_star': phi_star, 'schemes': codes}
+    with open(os.path.join(args.out, 'index.json'), 'w') as fh:
         json.dump(index, fh, indent=2, sort_keys=True)
         fh.write('\n')
     for scheme in schemes:
@@ -100,10 +92,9 @@ def _cmd_bench_deblur(args):
                        alpha_tv=args.alpha_tv, beta_wav=args.beta_wav,
                        seed=args.seed, haar_levels=args.haar_levels)
     p = make_deblur(cfg)
-    os.makedirs(args.out, exist_ok=True)
-    problem_path = os.path.join(args.out, 'problem.json')
-    save_problem(p, problem_path)
-    return _bench_run_matrix(p, problem_path, args, args.out)
+    ref_rho = args.ref_rho if args.ref_rho is not None else args.rho
+    phi_star, _ = refsolve(p, ref_rho, args.alpha)
+    return _bench_run_matrix(p, args, phi_star)
 
 
 def _cmd_bench_lasso(args):
@@ -111,17 +102,13 @@ def _cmd_bench_lasso(args):
                       noise_std=args.noise_std, beta=args.beta,
                       seed=args.seed)
     p = make_lasso(cfg)
-    os.makedirs(args.out, exist_ok=True)
-    problem_path = os.path.join(args.out, 'problem.json')
-    save_problem(p, problem_path)
-    code = _bench_run_matrix(p, problem_path, args, args.out)
-    u = ista_oracle(p.meta['design'], p.meta['data'], args.beta)
-    ref = 0.5 * float(np.sum((p.meta['design'] @ u - p.meta['data']) ** 2)) \
-        + args.beta * float(np.sum(np.abs(u)))
+    u = ista_oracle(p.meta['design'], p.meta['data'], cfg.beta)
+    phi_star = objective(p, np.concatenate([u, u]))
+    code = _bench_run_matrix(p, args, phi_star)
     with open(os.path.join(args.out, 'ista.json'), 'w') as fh:
-        json.dump({'objective': ref}, fh, indent=2, sort_keys=True)
+        json.dump({'objective': phi_star}, fh, indent=2, sort_keys=True)
         fh.write('\n')
-    print(f"ista reference objective: {ref:.9e}")
+    print(f"ista reference objective: {phi_star:.9e}")
     return code
 
 
@@ -147,7 +134,7 @@ def build_parser():
 
     sp = sub.add_parser('solve', help='run one scheme on a problem file')
     sp.add_argument('--problem', required=True)
-    sp.add_argument('--scheme', choices=SCHEME_CHOICES, required=True)
+    sp.add_argument('--scheme', choices=SCHEMES, required=True)
     _add_common(sp)
     sp.add_argument('--trace', help='trace CSV output path')
     sp.add_argument('--summary', help='summary JSON output path')
@@ -164,12 +151,14 @@ def build_parser():
     bd.add_argument('--alpha-tv', type=float, default=0.005)
     bd.add_argument('--beta-wav', type=float, default=0.001)
     bd.add_argument('--haar-levels', type=int, default=None)
-    bd.add_argument('--scheme', choices=SCHEME_CHOICES + ['all'],
-                    default='all')
+    bd.add_argument('--scheme', choices=[*SCHEMES, 'all'], default='all')
     bd.add_argument('--out', required=True)
     # the scaled 1e-8 default is out of reach at rho = 5e-4
     _add_common(bd, rho_default=5e-4, tol_default=1e-3)
-    _add_ref_rho(bd)
+    bd.add_argument('--ref-rho', type=float, default=None,
+                    help='penalty used for the reference-objective run '
+                         '(default: same as --rho; the refinement protocol '
+                         'can stall below the optimum when rho is tiny)')
     bd.set_defaults(func=_cmd_bench_deblur)
 
     bl = bsub.add_parser('lasso', help='lasso consensus benchmark')
@@ -179,11 +168,9 @@ def build_parser():
     bl.add_argument('--noise-std', type=float, default=0.01)
     bl.add_argument('--beta', type=float, default=0.1)
     bl.add_argument('--seed', type=int, default=0)
-    bl.add_argument('--scheme', choices=SCHEME_CHOICES + ['all'],
-                    default='all')
+    bl.add_argument('--scheme', choices=[*SCHEMES, 'all'], default='all')
     bl.add_argument('--out', required=True)
     _add_common(bl, rho_default=1.0)
-    _add_ref_rho(bl)
     bl.set_defaults(func=_cmd_bench_lasso)
 
     rf = sub.add_parser('refsolve', help='reference objective protocol')

@@ -97,17 +97,21 @@ class InnerResult:
     x_next feeds the next outer iteration's expansion point, z enters the
     error measure and back substitution, r is the inexactness term,
     Gamma the accumulated weight (1/delta for the generalized scheme,
-    +inf for the exact baseline), inner_iters the count l_i^k, and
-    delta_final the last accepted stepsize parameter (NaN for exact).
+    +inf for the exact baseline), inner_iters the count l_i^k,
+    delta_final the last accepted stepsize parameter (NaN for exact), and
+    f_next the smooth part's value at x_next when the line search already
+    took it (None otherwise).
     """
 
-    def __init__(self, x_next, z, r, Gamma, inner_iters, delta_final):
+    def __init__(self, x_next, z, r, Gamma, inner_iters, delta_final,
+                 f_next=None):
         self.x_next = x_next
         self.z = z
         self.r = float(r)
         self.Gamma = float(Gamma)
         self.inner_iters = int(inner_iters)
         self.delta_final = float(delta_final)
+        self.f_next = f_next
 
 
 class BlockState:
@@ -120,7 +124,12 @@ class BlockState:
         self.delta_min = float(delta_min)
         self.Gamma_prev = 0.0
         self.l_prev = 1
+        self.fx = None                # f(x) if the last step returned it
         self._grads = []              # (point, grad f(point)) pairs
+
+    def value(self, f):
+        """f(x), reusing the value the previous step returned at x."""
+        return f.value(self.x) if self.fx is None else self.fx
 
     def gradient(self, f, u):
         """grad f(u), held while u is still this block's x or x_prev.
@@ -273,13 +282,14 @@ def generalized_step(ctx, bst):
     """One BB-seeded linearized step; returns InnerResult with l = 1."""
     f = ctx.block.f
     eps = ctx.relax.eps(ctx.k)
-    x_new, _, dd, delta = _linearized_step(
-        ctx, bst.x, f.value(bst.x), bst.gradient(f, bst.x),
+    x_new, f_new, dd, delta = _linearized_step(
+        ctx, bst.x, bst.value(f), bst.gradient(f, bst.x),
         _bb_seed(ctx, bst), lambda _: eps)
     if ctx.k > 1 and bst.delta_prev is not None \
             and delta > max(bst.delta_prev, bst.delta_min):
         bst.delta_min *= ctx.ls.tau
-    return InnerResult(x_new, x_new.copy(), dd / delta, 1.0 / delta, 1, delta)
+    return InnerResult(x_new, x_new.copy(), dd / delta, 1.0 / delta, 1, delta,
+                       f_new)
 
 
 class RunningAverage:
@@ -303,10 +313,11 @@ class RunningAverage:
 
 
 def _run_inner(ctx, bst, psi_val, iterates, record, inner_cap, cap_error):
-    """Run an inner loop to its stopping rule; ``iterates`` yields (u, z,
-    ||u - u_prev||^2, gamma, delta, displacement, record extras)."""
+    """Run an inner loop to its stopping rule; ``iterates`` yields (u,
+    f(u) or None, z, ||u - u_prev||^2, gamma, delta, displacement, record
+    extras)."""
     sumsq = 0.0
-    for l, (u, z, dd, gamma, delta, disp, extra) in zip(
+    for l, (u, fu, z, dd, gamma, delta, disp, extra) in zip(
             range(1, inner_cap + 1), iterates):
         sumsq += dd
         if record is not None:
@@ -321,7 +332,7 @@ def _run_inner(ctx, bst, psi_val, iterates, record, inner_cap, cap_error):
             raise InnerIterationCap(ctx.i + 1, inner_cap)
     if gamma < bst.Gamma_prev:
         bst.delta_min *= ctx.ls.tau
-    return InnerResult(u, z.copy(), sumsq / gamma, gamma, l, delta)
+    return InnerResult(u, z.copy(), sumsq / gamma, gamma, l, delta, fu)
 
 
 def _multistep_iterates(ctx, bst):
@@ -330,14 +341,15 @@ def _multistep_iterates(ctx, bst):
     omega = ctx.relax.omega_multistep
     delta0 = _bb_seed(ctx, bst)
     u = bst.x
-    fu, g = f.value(u), bst.gradient(f, u)
+    fu, g = bst.value(f), bst.gradient(f, u)
     avg = RunningAverage(u)
     while True:
         u, fu, dd, delta = _linearized_step(
             ctx, u, fu, g, delta0,
             lambda d: eps * d * (avg.gamma + 1.0 / d) ** (-omega))
         avg.update(u, delta)
-        yield u, avg.a, dd, avg.gamma, delta, math.sqrt(dd / avg.gamma), {}
+        yield (u, fu, avg.a, dd, avg.gamma, delta, math.sqrt(dd / avg.gamma),
+               {})
         g = f.gradient(u)
 
 
@@ -358,12 +370,13 @@ def multistep_loop(ctx, bst, psi_val, record=None,
 def _accelerated_iterates(ctx, bst, delta1):
     f = ctx.block.f
     sig = 1.0 - ctx.ls.sigma
-    u = a = bst.x.copy()
+    u = a = bst.x
     gamma = 0.0
 
     def point(alpha, delta):   # abar, grad f(abar), next u, next a
-        abar = (1.0 - alpha) * a + alpha * u
-        gbar = f.gradient(abar)
+        # while gamma = 0, alpha = 1 and abar is x^k, whose gradient bst holds
+        abar = u if gamma == 0.0 else (1.0 - alpha) * a + alpha * u
+        gbar = bst.gradient(f, u) if gamma == 0.0 else f.gradient(abar)
         u_new = _composite_argmin(ctx, gbar, u, delta)
         return abar, gbar, u_new, (1.0 - alpha) * a + alpha * u_new
 
@@ -371,6 +384,7 @@ def _accelerated_iterates(ctx, bst, delta1):
         delta0 = _bb_seed(ctx, bst)
         eps = ctx.relax.eps(ctx.k)
         power = -(1.0 + ctx.relax.omega_accelerated)
+        fx = bst.value(f)
 
         def trial(scaled):
             theta = 1.0 / scaled
@@ -381,7 +395,8 @@ def _accelerated_iterates(ctx, bst, delta1):
             abar, gbar, u_new, a_new = point(alpha, delta)
             step = a_new - abar
             ss = float(step @ step)
-            lhs = f.value(abar) + float(gbar @ step) \
+            fbar = fx if gamma == 0.0 else f.value(abar)
+            lhs = fbar + float(gbar @ step) \
                 + 0.5 * sig * (delta / alpha) * ss
             if lhs >= f.value(a_new) - eps * gamma_trial ** power:
                 return delta, alpha, gamma_trial, u_new, a_new
@@ -398,7 +413,7 @@ def _accelerated_iterates(ctx, bst, delta1):
             gamma_new = l * (l + 1.0) / (2.0 * delta1)
             _, _, u_new, a_new = point(alpha, delta)
         du = u_new - u
-        yield (u_new, a_new, float(du @ du), gamma_new, delta,
+        yield (u_new, None, a_new, float(du @ du), gamma_new, delta,
                np.linalg.norm(a_new - a), {'alpha': alpha})
         u, a, gamma = u_new, a_new, gamma_new
 

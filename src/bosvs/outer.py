@@ -21,8 +21,8 @@ import time
 
 import numpy as np
 
-from .errors import (DimensionMismatch, MaxItersReached, MissingReference,
-                     NegativeR)
+from .errors import (DimensionMismatch, InnerIterationCap, MaxItersReached,
+                     MissingReference, NegativeR)
 from .inner import (BlockState, BlockWorkspace, InnerContext, LineSearchParams,
                     RelaxationParams, accelerated_loop, exact_block_solve,
                     generalized_step, multistep_loop)
@@ -294,6 +294,7 @@ def outer_step(p, s, params, bs, workspaces=None, t0=None):
         bst.delta_prev = res.delta_final
         bst.Gamma_prev = res.Gamma
         bst.l_prev = res.inner_iters
+        bst.fx = res.f_next
     r_list = [res.r for res in results]
     primal_vec = sum(prods, np.zeros(p.rows)) - p.b
     e = error_measure(params.thetas, z, s.y, r_list, p, primal_vec)
@@ -327,7 +328,9 @@ def solve(p, params, x0=None, lam0=None, callbacks=None,
 
     Returns a SolveResult whose ``solution`` is the final z iterate.
     Callbacks receive (state, record) after every iteration; a truthy
-    return stops the run with reason 'callback'.
+    return stops the run with reason 'callback'. An inner loop that hits
+    its cap ends the run with reason 'stagnated' and the iterates of the
+    last completed iteration.
     Raises MaxItersReached (result attached) when the budget is exhausted
     and raise_on_maxiter is set.
     """
@@ -344,7 +347,11 @@ def solve(p, params, x0=None, lam0=None, callbacks=None,
     converged = False
     t0 = time.perf_counter()
     for _ in range(params.max_outer_iters):
-        s, rec = outer_step(p, s, params, bs, workspaces, t0)
+        try:
+            s, rec = outer_step(p, s, params, bs, workspaces, t0)
+        except InnerIterationCap:
+            reason = 'stagnated'
+            break
         trace.append(rec)
         if stop_tol is None:
             stop_tol = 1e-8 * (1.0 + abs(rec.objective))

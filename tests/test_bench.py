@@ -182,11 +182,10 @@ def test_refsolve_protocol_on_lasso():
 def test_run_benchmark_artifacts(tmp_path):
     cfg = bench.LassoConfig(n=20, d=30, seed=3)
     p = bench.make_lasso(cfg)
-    params = outer.OuterParams(rho=1.0, scheme='generalized', stop_tol=1e-8,
+    params = outer.OuterParams(rho=1.0, scheme='accelerated', stop_tol=1e-8,
                                max_outer_iters=10000)
     phi_star, _ = bench.refsolve(p, 1.0)
-    code = bench.run_benchmark(p, 'accelerated', params, str(tmp_path),
-                               phi_star=phi_star)
+    code = bench.run_benchmark(p, params, str(tmp_path), phi_star)
     assert code == 0
     with open(tmp_path / 'accelerated_summary.json') as fh:
         summary = json.load(fh)
@@ -202,14 +201,11 @@ def test_run_benchmark_artifacts(tmp_path):
         assert float(t) >= 0.0
         assert float(e) < 2.0 or e == '-inf'
     assert os.path.exists(tmp_path / 'accelerated_trace.csv')
-    with pytest.raises(ValueError):
-        bench.run_benchmark(p, 'fastest', params, str(tmp_path),
-                            phi_star=phi_star)
     # exhausted budget reports exit code 2
     tight = outer.OuterParams(rho=1.0, scheme='generalized', stop_tol=1e-12,
                               max_outer_iters=3)
-    code2 = bench.run_benchmark(p, 'generalized', tight, str(tmp_path),
-                                prefix='short', phi_star=phi_star)
+    code2 = bench.run_benchmark(p, tight, str(tmp_path), phi_star,
+                                prefix='short')
     assert code2 == 2
     with open(tmp_path / 'short_summary.json') as fh:
         short = json.load(fh)

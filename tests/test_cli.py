@@ -1,5 +1,6 @@
 """Command line interface, exercised through subprocesses."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from bosvs import bench, problem_io
+from bosvs import bench, cli, inner, outer, problem_io
 
 BOSVS = [sys.executable, '-m', 'bosvs.cli']
 
@@ -105,6 +106,70 @@ def test_bench_lasso_end_to_end(tmp_path):
     p = problem_io.load_problem(os.path.join(out, 'problem.json'))
     q = bench.make_lasso(bench.LassoConfig(n=20, d=30, seed=5))
     assert np.array_equal(p.blocks[0].f.data, q.blocks[0].f.data)
+
+
+def test_bench_lasso_grades_against_the_ista_oracle(tmp_path, monkeypatch):
+    def no_refsolve(*args, **kwargs):
+        raise AssertionError("bench lasso ran refsolve")
+
+    monkeypatch.setattr(cli, 'refsolve', no_refsolve)
+    out = str(tmp_path / 'out')
+    code = cli.main(['bench', 'lasso', '--seed', '0', '--scheme',
+                     'generalized', '--out', out])
+    assert code == 0
+    with open(os.path.join(out, 'index.json')) as fh:
+        index = json.load(fh)
+    with open(os.path.join(out, 'ista.json')) as fh:
+        ista = json.load(fh)
+    assert index['phi_star'] == ista['objective']
+    with open(os.path.join(out, 'generalized_summary.json')) as fh:
+        summary = json.load(fh)
+    assert summary['phi_star'] == ista['objective']
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(['bench', 'lasso', '--out', out,
+                                       '--ref-rho', '1'])
+
+
+def defaults(func):
+    return {name: par.default
+            for name, par in inspect.signature(func).parameters.items()}
+
+
+def test_parser_defaults_match_the_library():
+    ap = cli.build_parser()
+    lasso = ap.parse_args(['bench', 'lasso', '--out', 'o'])
+    want = defaults(bench.LassoConfig)
+    assert (lasso.n, lasso.d, lasso.nnz, lasso.noise_std, lasso.beta,
+            lasso.seed) == tuple(want[k] for k in (
+                'n', 'd', 'nnz', 'noise_std', 'beta', 'seed'))
+    deblur = ap.parse_args(['bench', 'deblur', '--out', 'o'])
+    want = defaults(bench.DeblurConfig)
+    assert (deblur.size, deblur.blur, deblur.snr, deblur.alpha_tv,
+            deblur.beta_wav, deblur.seed, deblur.haar_levels) == tuple(
+                want[k] for k in ('size', 'blur_size', 'snr_db', 'alpha_tv',
+                                  'beta_wav', 'seed', 'haar_levels'))
+    solve = ap.parse_args(['solve', '--problem', 'p', '--scheme', 'exact',
+                           '--rho', '1'])
+    want = defaults(outer.OuterParams)
+    assert solve.alpha == want['alpha']
+    assert solve.max_iters == want['max_outer_iters']
+    assert solve.accel_schedule == want['accel_schedule']
+    assert solve.relaxed == defaults(inner.RelaxationParams)['enabled']
+    ref = ap.parse_args(['refsolve', '--problem', 'p', '--rho', '1'])
+    want = defaults(bench.refsolve)
+    assert ref.alpha == want['alpha']
+    assert ref.cap == want['cap'] == bench.REFERENCE_CAP
+
+
+def test_solve_stagnation_exit_code(tmp_path):
+    path = str(tmp_path / 'lasso.json')
+    p = bench.make_lasso(bench.LassoConfig(n=300, d=400, seed=11))
+    problem_io.save_problem(p, path)
+    proc = run_cli(['solve', '--problem', path, '--scheme', 'multistep',
+                    '--rho', '1.0', '--tol', '0', '--max-iters', '150'])
+    assert proc.returncode == 2, proc.stderr
+    assert '(stagnated)' in proc.stdout
+    assert 'Traceback' not in proc.stderr
 
 
 def test_bench_deblur_default_tol_is_reachable(tmp_path):

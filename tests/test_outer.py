@@ -205,6 +205,69 @@ def test_bb_seed_reuses_the_previous_gradient(monkeypatch):
         assert len(calls) == sum(rec.inner_iters[0] for rec in res.trace)
 
 
+def repeated_points(monkeypatch, method, solve):
+    """Calls of QuadraticLS.<method> at a point it already saw, outside
+    the trace objective, while solve() runs."""
+    seen = []
+    in_objective = []
+    orig = getattr(prox.QuadraticLS, method)
+    objective = outer.objective
+
+    def counting(f, x):
+        if not in_objective:
+            seen.append(x.tobytes())
+        return orig(f, x)
+
+    def flagged_objective(p, z):
+        in_objective.append(True)
+        try:
+            return objective(p, z)
+        finally:
+            in_objective.pop()
+
+    monkeypatch.setattr(prox.QuadraticLS, method, counting)
+    monkeypatch.setattr(outer, 'objective', flagged_objective)
+    res = solve()
+    assert res.iterations > 10
+    return len(seen) - len(set(seen))
+
+
+def test_accelerated_first_step_reuses_the_gradient_at_x(monkeypatch):
+    # with gamma = 0 the first step's abar is x^k, whose gradient the BB
+    # seed has just taken
+    p = bench.make_lasso(bench.LassoConfig(n=300, d=400, seed=0))
+    for schedule in ('adaptive', 'constant'):
+        params = outer.OuterParams(rho=1.0, scheme='accelerated',
+                                   accel_schedule=schedule)
+        assert repeated_points(monkeypatch, 'gradient',
+                               lambda: outer.solve(p, params)) == 0
+
+
+def test_steps_reuse_f_at_the_accepted_point(monkeypatch):
+    # the previous line search took f at x^k; the next step starts there
+    p = bench.make_lasso(bench.LassoConfig(n=300, d=400, seed=0))
+    for scheme in ('generalized', 'multistep'):
+        params = outer.OuterParams(rho=1.0, scheme=scheme)
+        assert repeated_points(monkeypatch, 'value',
+                               lambda: outer.solve(p, params)) == 0, scheme
+
+
+def test_inner_iteration_cap_ends_the_run_as_stagnated():
+    p = bench.make_lasso(bench.LassoConfig(n=300, d=400, seed=11))
+    params = outer.OuterParams(rho=1.0, scheme='multistep', stop_tol=0.0,
+                               max_outer_iters=150)
+    last = []
+    res = outer.solve(p, params,
+                      callbacks=[lambda s, rec: last.append(
+                          (s.x.copy(), s.y.copy(), s.z.copy(),
+                           s.lam.copy()))])
+    assert res.reason == 'stagnated' and not res.converged
+    assert res.iterations == len(last) == 117
+    assert res.trace[-1].e_k < 1e-12
+    for got, want in zip((res.x, res.y, res.z, res.lam), last[-1]):
+        assert np.array_equal(got, want)
+
+
 def test_solve_converges_on_easy_problem():
     p = lasso_like(31)
     params = outer.OuterParams(rho=1.0, scheme='generalized', stop_tol=1e-9,
