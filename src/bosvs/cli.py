@@ -4,8 +4,9 @@ Subcommands: ``solve`` runs one scheme on a problem file; ``bench
 deblur`` / ``bench lasso`` generate an instance, save it, and run one or
 all schemes on it against ``refsolve``'s (deblur) or the ISTA oracle's
 (lasso) objective; ``refsolve`` runs the accelerated refinement protocol.
-Exit code 0 on convergence, 2 when a run stopped short of it, 1 on any
-other error.
+Exit code 0 on convergence (for ``refsolve``, also when its stable-digits
+rule ends the run), 2 when a run stopped short of it, 1 on any other
+error.
 """
 
 import argparse
@@ -123,7 +124,8 @@ def _cmd_refsolve(args):
             fh.write('\n')
     print(f"phi_star={phi_star:.9e} after {result.iterations} iterations "
           f"({result.reason})")
-    return 0
+    # 'callback' is the stable-digits rule that ends a complete reference run
+    return 0 if result.reason in ('callback', 'converged') else 2
 
 
 def build_parser():

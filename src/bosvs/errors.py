@@ -31,7 +31,7 @@ class EmptyBox(SolverError, ValueError):
 
 class UnsupportedSubproblem(SolverError):
     """Block structure outside the solvable classes (h = 0 linear solve,
-    or Gram equal to a positive multiple of the identity)."""
+    or A^T A equal to a positive multiple of the identity)."""
 
     def __init__(self, block, message=None):
         self.block = block

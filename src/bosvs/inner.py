@@ -155,7 +155,8 @@ class BlockWorkspace:
         self._gram = linops.gram(A, A) if gram is None else gram
 
     def gram_basis(self):
-        """The Gram value, a ``linops.Gram``."""
+        """The Gram value: a ``ZeroOp``, ``ScaledIdentityOp``,
+        ``Diagonalized`` or ``DenseOp`` of ``linops``."""
         return self._gram
 
     def identity_multiple(self):

@@ -6,11 +6,13 @@ signed identities, vertical stacks, an orthonormal 2-D Haar transform,
 forward differences with replicate boundary, and explicit small-kernel
 blur cover the structures used by the benchmark problems.
 
-``gram(a, b)`` returns A^T B as a ``Gram`` value: ``Zero`` (possibly
-rectangular), ``ScaledIdentity``, ``Diagonalized`` by a fast orthonormal
-transform (the DCT-II for differences) or the ``Dense`` fallback.
-Stacks sum their part Grams structurally, so structured Grams are never
-materialized. ``assemble_back_sub`` collects these values into the lower
+``gram(a, b)`` returns A^T B as an operator of this module: ``ZeroOp``
+(possibly rectangular), ``ScaledIdentityOp``, ``Diagonalized`` by a fast
+orthonormal transform (the DCT-II for differences) or the ``DenseOp``
+fallback. These four also solve their shifted systems (``solve_shifted``)
+and report their spectrum (``eig_bounds``). Stacks sum their part Grams
+structurally, so structured Grams are never materialized.
+``assemble_back_sub`` collects these values into the lower
 block-triangular M of blocks 2..m, whose diagonal blocks form H, and
 checks each for full rank; ``back_substitute`` applies the correction
 y + alpha * M^{-T} H (z - y) by blockwise back substitution.
@@ -27,9 +29,8 @@ from .errors import BadDims, DimensionMismatch, RankDeficient
 
 __all__ = ['LinOp', 'DenseOp', 'ScaledIdentityOp', 'IdentityOp', 'NegIdentityOp',
            'ZeroOp', 'VStackOp', 'HaarTransform', 'DiffOperator', 'BlurOperator',
-           'Gram', 'Zero', 'ScaledIdentity', 'Diagonalized', 'Dense', 'gram',
-           'identity_multiple', 'assemble_back_sub', 'back_substitute',
-           'smallest_gram_eigenvalue', 'BackSubMatrices']
+           'Diagonalized', 'gram', 'identity_multiple', 'assemble_back_sub',
+           'back_substitute', 'smallest_gram_eigenvalue', 'BackSubMatrices']
 
 
 class LinOp:
@@ -37,11 +38,16 @@ class LinOp:
 
     Subclasses implement ``apply`` (forward) and ``apply_adjoint``. The
     default ``to_dense`` materializes by applying to identity columns,
-    which is fine at desk scale.
+    which is fine at desk scale. The operators ``gram`` returns also
+    implement, for a symmetric G, ``solve_shifted(delta, rho, rhs)``,
+    which solves (delta I + rho G) u = rhs, and ``eig_bounds()``, the
+    smallest and largest eigenvalues. ``scalar`` is c when the operator
+    is stored as c I (a scaled identity or a square zero), else None.
     """
 
     rows = None
     cols = None
+    scalar = None
 
     def apply(self, v):
         raise NotImplementedError
@@ -76,9 +82,18 @@ class LinOp:
     def shape(self):
         return (self.rows, self.cols)
 
+    @property
+    def nbytes(self):
+        """Bytes of the operator's array attributes (not cached factors)."""
+        return sum(v.nbytes for v in vars(self).values()
+                   if isinstance(v, np.ndarray))
+
 
 class DenseOp(LinOp):
-    """Wrap an explicit matrix. Storage is column-major contiguous."""
+    """Wrap an explicit matrix. Storage is column-major contiguous.
+
+    Shifted solves use its eigendecomposition, computed on first use.
+    """
 
     def __init__(self, a):
         a = np.asfortranarray(a, dtype=float)
@@ -86,6 +101,10 @@ class DenseOp(LinOp):
             raise DimensionMismatch("dense operator needs a 2-D array")
         self._a = a
         self.rows, self.cols = a.shape
+
+    @functools.cached_property
+    def _eigh(self):
+        return eigh(self._a)
 
     def apply(self, v):
         return self._a @ self._check_apply(v)
@@ -96,24 +115,45 @@ class DenseOp(LinOp):
     def to_dense(self):
         return np.array(self._a)
 
+    def solve_shifted(self, delta, rho, rhs):
+        w, q = self._eigh
+        dvals = delta + rho * w
+        u = q @ ((q.T @ rhs) / dvals)
+        # one refinement pass when the shifted spectrum is spread enough
+        # for the factored solve to leave a visible residual
+        if dvals[-1] > 1e6 * dvals[0]:
+            res = rhs - (delta * u + rho * (self._a @ u))
+            u += q @ ((q.T @ res) / dvals)
+        return u
+
+    def eig_bounds(self):
+        w = self._eigh[0]
+        return float(w[0]), float(w[-1])
+
 
 class ScaledIdentityOp(LinOp):
-    """s * I on n coordinates."""
+    """c * I on n coordinates, with c = ``scalar``."""
 
     def __init__(self, n, scale=1.0):
         if n <= 0:
             raise DimensionMismatch("identity needs n >= 1")
         self.rows = self.cols = int(n)
-        self.scale = float(scale)
+        self.scalar = float(scale)
 
     def apply(self, v):
-        return self.scale * self._check_apply(v)
+        return self.scalar * self._check_apply(v)
 
     def apply_adjoint(self, w):
-        return self.scale * self._check_adjoint(w)
+        return self.scalar * self._check_adjoint(w)
 
     def to_dense(self):
-        return self.scale * np.eye(self.rows)
+        return self.scalar * np.eye(self.rows)
+
+    def solve_shifted(self, delta, rho, rhs):
+        return rhs / (delta + rho * self.scalar)
+
+    def eig_bounds(self):
+        return self.scalar, self.scalar
 
 
 def IdentityOp(n):
@@ -125,11 +165,12 @@ def NegIdentityOp(n):
 
 
 class ZeroOp(LinOp):
-    """Zero map, used to pad signed identities into taller stacks."""
+    """Zero map, possibly rectangular."""
 
     def __init__(self, rows, cols):
         self.rows = int(rows)
         self.cols = int(cols)
+        self.scalar = 0.0 if self.rows == self.cols else None
 
     def apply(self, v):
         self._check_apply(v)
@@ -141,6 +182,12 @@ class ZeroOp(LinOp):
 
     def to_dense(self):
         return np.zeros((self.rows, self.cols))
+
+    def solve_shifted(self, delta, rho, rhs):
+        return rhs / delta
+
+    def eig_bounds(self):
+        return 0.0, 0.0
 
 
 class VStackOp(LinOp):
@@ -234,7 +281,7 @@ class HaarTransform(LinOp):
 
     def self_gram(self):
         """Orthonormal, so A^T A = I."""
-        return ScaledIdentity(self.cols, 1.0)
+        return ScaledIdentityOp(self.cols, 1.0)
 
 
 class DiffOperator(LinOp):
@@ -353,63 +400,7 @@ class BlurOperator(LinOp):
         return self._mat.toarray()
 
 
-class Gram(LinOp):
-    """A Gram block G = A^T B in structured form.
-
-    For a symmetric G, ``solve_shifted(delta, rho, rhs)`` solves
-    (delta I + rho G) u = rhs and ``eig_bounds()`` gives its smallest and
-    largest eigenvalues. ``scalar`` is c when G = c I, else None.
-    """
-
-    scalar = None
-
-    @property
-    def nbytes(self):
-        """Bytes of the value's array attributes (not cached factors)."""
-        return sum(v.nbytes for v in vars(self).values()
-                   if isinstance(v, np.ndarray))
-
-
-class Zero(Gram):
-    """The zero block, possibly rectangular."""
-
-    def __init__(self, rows, cols):
-        self.rows, self.cols = int(rows), int(cols)
-        self.scalar = 0.0 if self.rows == self.cols else None
-
-    def apply(self, v):
-        return np.zeros(self.rows)
-
-    def apply_adjoint(self, w):
-        return np.zeros(self.cols)
-
-    def solve_shifted(self, delta, rho, rhs):
-        return rhs / delta
-
-    def eig_bounds(self):
-        return 0.0, 0.0
-
-
-class ScaledIdentity(Gram):
-    """c I on n coordinates."""
-
-    def __init__(self, n, c):
-        self.rows = self.cols = int(n)
-        self.scalar = float(c)
-
-    def apply(self, v):
-        return self.scalar * v
-
-    apply_adjoint = apply
-
-    def solve_shifted(self, delta, rho, rhs):
-        return rhs / (delta + rho * self.scalar)
-
-    def eig_bounds(self):
-        return self.scalar, self.scalar
-
-
-class Diagonalized(Gram):
+class Diagonalized(LinOp):
     """Q^T diag(eig) Q, with ``forward`` applying Q and ``inverse`` Q^T."""
 
     def __init__(self, eig, forward, inverse):
@@ -430,59 +421,27 @@ class Diagonalized(Gram):
         return float(self.eig.min()), float(self.eig.max())
 
 
-class Dense(Gram):
-    """Explicit array; shifted solves use its eigendecomposition."""
-
-    def __init__(self, a):
-        self.a = np.asarray(a, dtype=float)
-        self.rows, self.cols = self.a.shape
-
-    @functools.cached_property
-    def _eigh(self):
-        return eigh(self.a)
-
-    def apply(self, v):
-        return self.a @ v
-
-    def apply_adjoint(self, w):
-        return self.a.T @ w
-
-    def solve_shifted(self, delta, rho, rhs):
-        w, q = self._eigh
-        dvals = delta + rho * w
-        u = q @ ((q.T @ rhs) / dvals)
-        # one refinement pass when the shifted spectrum is spread enough
-        # for the factored solve to leave a visible residual
-        if dvals[-1] > 1e6 * dvals[0]:
-            res = rhs - (delta * u + rho * (self.a @ u))
-            u += q @ ((q.T @ res) / dvals)
-        return u
-
-    def eig_bounds(self):
-        w = self._eigh[0]
-        return float(w[0]), float(w[-1])
-
-
 def _from_array(g, tol=1e-12):
-    """Zero, ScaledIdentity when g = c I within tol (relative), else Dense."""
+    """ZeroOp, ScaledIdentityOp when g = c I within tol (relative), else
+    DenseOp."""
     if not np.any(g):
-        return Zero(*g.shape)
+        return ZeroOp(*g.shape)
     if g.shape[0] == g.shape[1]:
         c = g[0, 0]
         if np.max(np.abs(g - c * np.eye(len(g)))) <= tol * max(abs(c), 1.0):
-            return ScaledIdentity(len(g), c)
-    return Dense(g)
+            return ScaledIdentityOp(len(g), c)
+    return DenseOp(g)
 
 
 def _add(x, y):
     """Structural sum of two Gram values of one shape."""
-    if isinstance(x, Zero) or isinstance(y, Zero):
-        return y if isinstance(x, Zero) else x
-    if isinstance(x, ScaledIdentity):
+    if isinstance(x, ZeroOp) or isinstance(y, ZeroOp):
+        return y if isinstance(x, ZeroOp) else x
+    if isinstance(x, ScaledIdentityOp):
         x, y = y, x
-    if isinstance(y, ScaledIdentity) and isinstance(x, ScaledIdentity):
-        return ScaledIdentity(x.rows, x.scalar + y.scalar)
-    if isinstance(y, ScaledIdentity) and isinstance(x, Diagonalized):
+    if isinstance(y, ScaledIdentityOp) and isinstance(x, ScaledIdentityOp):
+        return ScaledIdentityOp(x.rows, x.scalar + y.scalar)
+    if isinstance(y, ScaledIdentityOp) and isinstance(x, Diagonalized):
         return Diagonalized(x.eig + y.scalar, x.forward, x.inverse)
     return _from_array(x.to_dense() + y.to_dense())
 
@@ -498,9 +457,9 @@ def gram(a, b):
     if a.rows != b.rows:
         raise DimensionMismatch("gram needs equal row counts")
     if isinstance(a, ZeroOp) or isinstance(b, ZeroOp):
-        return Zero(a.cols, b.cols)
+        return ZeroOp(a.cols, b.cols)
     if isinstance(a, ScaledIdentityOp) and isinstance(b, ScaledIdentityOp):
-        return ScaledIdentity(a.cols, a.scale * b.scale)
+        return ScaledIdentityOp(a.cols, a.scalar * b.scalar)
     if (isinstance(a, VStackOp) and isinstance(b, VStackOp)
             and [p.rows for p in a.parts] == [p.rows for p in b.parts]):
         return functools.reduce(_add, map(gram, a.parts, b.parts))
@@ -541,7 +500,7 @@ class BackSubMatrices:
         """M_{ji}^T parts[j] for each nonzero block j > i."""
         return [self.mblocks[j][i].apply_adjoint(parts[j])
                 for j in range(i + 1, self.nblocks)
-                if not isinstance(self.mblocks[j][i], Zero)]
+                if not isinstance(self.mblocks[j][i], ZeroOp)]
 
     def apply_H(self, v):
         return _cat([self.mblocks[i][i].apply(p)

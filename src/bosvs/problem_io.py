@@ -13,7 +13,6 @@ import json
 
 import numpy as np
 
-from .errors import DimensionMismatch
 from .linops import (BlurOperator, DenseOp, DiffOperator, HaarTransform,
                      ScaledIdentityOp, VStackOp, ZeroOp)
 from .problem import Block, Problem
@@ -30,11 +29,11 @@ def _op_to_spec(op):
     if isinstance(op, DenseOp):
         return {'kind': 'dense', 'matrix': op.to_dense().tolist()}
     if isinstance(op, ScaledIdentityOp):
-        if op.scale == 1.0:
+        if op.scalar == 1.0:
             return {'kind': 'identity', 'n': op.cols}
-        if op.scale == -1.0:
+        if op.scalar == -1.0:
             return {'kind': 'negidentity', 'n': op.cols}
-        return {'kind': 'identity', 'n': op.cols, 'scale': op.scale}
+        return {'kind': 'identity', 'n': op.cols, 'scale': op.scalar}
     if isinstance(op, ZeroOp):
         return {'kind': 'zero', 'rows': op.rows, 'cols': op.cols}
     if isinstance(op, HaarTransform):
@@ -55,24 +54,10 @@ def _op_from_spec(spec):
     if kind == 'dense':
         return DenseOp(np.asarray(spec['matrix'], dtype=float))
     if kind in ('identity', 'negidentity'):
-        n = int(spec['n'])
         scale = float(spec.get('scale', 1.0))
         if kind == 'negidentity':
             scale = -scale
-        base = ScaledIdentityOp(n, scale)
-        rows = int(spec.get('rows', n))
-        off = int(spec.get('row_offset', 0))
-        if rows == n and off == 0:
-            return base
-        if off < 0 or off + n > rows:
-            raise DimensionMismatch("identity embedding outside row range")
-        parts = []
-        if off > 0:
-            parts.append(ZeroOp(off, n))
-        parts.append(base)
-        if rows - off - n > 0:
-            parts.append(ZeroOp(rows - off - n, n))
-        return VStackOp(parts)
+        return ScaledIdentityOp(int(spec['n']), scale)
     if kind == 'zero':
         return ZeroOp(int(spec['rows']), int(spec['cols']))
     if kind == 'haar':
@@ -154,16 +139,26 @@ def problem_to_dict(p):
 
 
 def problem_from_dict(doc):
+    """Build a Problem from a parsed document; a malformed one raises
+    ValueError saying what is wrong with it."""
+    if not isinstance(doc, dict):
+        raise ValueError("a problem document is a JSON object, not "
+                         f"{type(doc).__name__}")
     if doc.get('schema') != SCHEMA:
         raise ValueError(f"unsupported schema {doc.get('schema')!r}, "
                          f"expected {SCHEMA!r}")
-    bspec = doc['b']
-    if isinstance(bspec, dict):
-        b = np.zeros(int(bspec['zeros']))
-    else:
-        b = np.asarray(bspec, dtype=float)
-    blocks = [Block(_op_from_spec(e['A']), _smooth_from_spec(e['f']),
-                    _nonsmooth_from_spec(e['h'])) for e in doc['blocks']]
+    try:
+        bspec = doc['b']
+        if isinstance(bspec, dict):
+            b = np.zeros(int(bspec['zeros']))
+        else:
+            b = np.asarray(bspec, dtype=float)
+        blocks = [Block(_op_from_spec(e['A']), _smooth_from_spec(e['f']),
+                        _nonsmooth_from_spec(e['h'])) for e in doc['blocks']]
+    except KeyError as exc:
+        raise ValueError(f"problem document lacks the key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed problem document: {exc}") from None
     return Problem(blocks, b)
 
 

@@ -64,6 +64,25 @@ def test_solve_missing_file_is_an_error():
     assert 'error:' in proc.stderr
 
 
+def test_malformed_problem_file_is_an_error(tmp_path, capsys):
+    docs = [{'schema': problem_io.SCHEMA, 'b': {'zeros': 3},
+             'blocks': [{'A': {'kind': 'dense'}, 'f': {'kind': 'zero'},
+                         'h': {'kind': 'zero'}}]},
+            {'schema': problem_io.SCHEMA, 'b': [0.0]},
+            {'schema': problem_io.SCHEMA, 'b': [0.0], 'blocks': 3},
+            [1, 2]]
+    for n, doc in enumerate(docs):
+        path = str(tmp_path / f'bad{n}.json')
+        with open(path, 'w') as fh:
+            json.dump(doc, fh)
+        for argv in (['solve', '--problem', path, '--scheme', 'generalized',
+                      '--rho', '1'],
+                     ['refsolve', '--problem', path, '--rho', '1']):
+            assert cli.main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith('error: '), err
+
+
 def test_bad_usage_reports_usage():
     proc = run_cli(['solve', '--problem', 'x.json', '--scheme', 'sneaky',
                     '--rho', '1.0'])
@@ -82,6 +101,11 @@ def test_refsolve_subcommand(tmp_path, lasso_file):
     assert doc['termination'] == 'callback'
     assert doc['phi_star'] == pytest.approx(
         float(proc.stdout.split('phi_star=')[1].split()[0]), rel=1e-9)
+    # a reference run cut short by its cap is not a reference
+    proc = run_cli(['refsolve', '--problem', lasso_file, '--rho', '1.0',
+                    '--cap', '3'])
+    assert proc.returncode == 2, proc.stderr
+    assert '(max_iters)' in proc.stdout
 
 
 def test_bench_lasso_end_to_end(tmp_path):

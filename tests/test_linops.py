@@ -6,9 +6,9 @@ from scipy import ndimage
 
 from bosvs import bench
 from bosvs.errors import BadDims, DimensionMismatch, RankDeficient
-from bosvs.linops import (BlurOperator, Dense, DenseOp, DiffOperator,
+from bosvs.linops import (BlurOperator, DenseOp, Diagonalized, DiffOperator,
                           HaarTransform, IdentityOp, NegIdentityOp,
-                          ScaledIdentityOp, VStackOp, Zero, ZeroOp,
+                          ScaledIdentityOp, VStackOp, ZeroOp,
                           assemble_back_sub, back_substitute, gram,
                           identity_multiple, smallest_gram_eigenvalue)
 
@@ -164,6 +164,20 @@ def test_gram_structured_fast_paths_are_exact():
     assert np.array_equal(gram(a2, a2).to_dense(), np.eye(n))
     assert np.array_equal(gram(a3, a3).to_dense(), np.eye(n))
     assert np.array_equal(gram(a2, a3).to_dense(), np.zeros((n, n)))
+    # Gram values are operators of the same classes as their operands
+    for a, b in [(ident, ident), (neg, neg), (neg, ident), (h, h),
+                 (a2, a2), (a3, a3)]:
+        assert type(gram(a, b)) is ScaledIdentityOp
+    assert type(gram(zero, zero)) is ZeroOp
+    assert type(gram(a2, a3)) is ZeroOp
+    d = DenseOp(np.arange(6.0).reshape(3, 2))
+    assert type(gram(d, d)) is DenseOp
+    # and check their operands' lengths like any operator
+    for g in (gram(ident, ident), gram(zero, zero)):
+        with pytest.raises(DimensionMismatch):
+            g.apply(np.ones(g.cols + 1))
+        with pytest.raises(DimensionMismatch):
+            g.apply_adjoint(np.ones(g.rows - 1))
 
 
 def test_gram_matches_dense_oracle():
@@ -195,6 +209,8 @@ def test_gram_values_match_dense_oracle():
     rng = np.random.default_rng(12)
     for a, b in gram_cases(rng):
         g = gram(a, b)
+        assert isinstance(g, (ZeroOp, ScaledIdentityOp, Diagonalized,
+                              DenseOp))
         want = a.to_dense().T @ b.to_dense()
         tol = 1e-12 * max(1.0, np.abs(want).max())
         assert g.shape == want.shape
@@ -210,9 +226,9 @@ def test_gram_values_match_dense_oracle():
             want - c0 * np.eye(len(want))).max() <= 1e-12 * max(1.0, abs(c0)) \
             else None
         assert identity_multiple(g) == oracle_c
-        if isinstance(g, Zero):
+        if isinstance(g, ZeroOp):
             assert not np.any(want)
-        if not isinstance(g, Dense):
+        if not isinstance(g, DenseOp):
             # structured values hold at most one vector of eigenvalues
             assert g.nbytes <= 8 * g.cols
         if a is not b:

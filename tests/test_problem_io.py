@@ -56,17 +56,6 @@ def test_identity_scale_variants():
         == 'negidentity'
 
 
-def test_embedded_identity_spec():
-    spec = {'kind': 'identity', 'n': 3, 'rows': 7, 'row_offset': 2}
-    op = problem_io._op_from_spec(spec)
-    dense = np.zeros((7, 3))
-    dense[2:5] = np.eye(3)
-    assert np.array_equal(op.to_dense(), dense)
-    with pytest.raises(DimensionMismatch):
-        problem_io._op_from_spec({'kind': 'identity', 'n': 3, 'rows': 4,
-                                  'row_offset': 2})
-
-
 def test_nonsmooth_roundtrip():
     lo = np.array([-1.0, 0.0])
     hi = np.array([1.0, 2.0])
@@ -87,6 +76,13 @@ def test_rejects_unknown_schema_and_kinds():
         problem_io._smooth_from_spec({'kind': 'huber'})
     with pytest.raises(ValueError):
         problem_io._nonsmooth_from_spec({'kind': 'nuclear'})
+    # the embedded-identity keys are not read: the block keeps n rows
+    embedded = {'kind': 'identity', 'n': 3, 'rows': 7, 'row_offset': 2}
+    with pytest.raises(DimensionMismatch):
+        problem_io.problem_from_dict({
+            'schema': problem_io.SCHEMA, 'b': {'zeros': 7},
+            'blocks': [{'A': embedded, 'f': {'kind': 'zero'},
+                        'h': {'kind': 'zero'}}]})
 
     class Weird:
         pass
