@@ -13,8 +13,9 @@ outer iteration:
 * ``accelerated_loop``: Nesterov-style inner loop with either the
   constant schedule (needs a Lipschitz constant) or the adaptive
   line-searched schedule; z is the accelerated average.
-* ``exact_block_solve``: minimizes the exact block objective, by CG when
-  h = 0 or one prox when the Gram is a positive multiple of the identity.
+* ``exact_block_solve``: minimizes the exact block objective, by one
+  direct solve with H_f + rho A^T A (CG as the fallback) when h = 0 or one
+  prox when the Gram is a positive multiple of the identity.
 
 The three inexact schemes share one backtracking search over
 delta0 * eta**j (``_line_search``); the generalized step is one
@@ -149,10 +150,12 @@ class BlockState:
 
 class BlockWorkspace:
     """One block's Gram value A^T A (``linops.gram``, unless the caller
-    already holds it), shared by every subproblem solve of the block."""
+    already holds it), shared by every subproblem solve of the block for
+    one solve, and the exact scheme's system built from it."""
 
     def __init__(self, A, gram=None):
         self._gram = linops.gram(A, A) if gram is None else gram
+        self._systems = {}
 
     def gram_basis(self):
         """The Gram value: a ``ZeroOp``, ``ScaledIdentityOp``,
@@ -165,6 +168,18 @@ class BlockWorkspace:
     def solve_shifted(self, delta, rho, rhs):
         """Solve (delta*I + rho*A^T A) u = rhs."""
         return self._gram.solve_shifted(delta, rho, rhs)
+
+    def system(self, f, rho):
+        """The exact scheme's (K, grad f(0)) per rho, K = H_f + rho A^T A
+        as a Gram value; K is None when f's Hessian has none, or when A^T A
+        is singular (to the back-substitution rank test) and K may be too."""
+        if rho not in self._systems:
+            H = f.hess_gram(self._gram.cols) if f.hess_gram else None
+            lo, hi = self._gram.eig_bounds()
+            K = None if H is None or lo <= 1e-10 * hi \
+                else linops._add(H, self._gram, rho)
+            self._systems[rho] = K, f.gradient(np.zeros(self._gram.cols))
+        return self._systems[rho]
 
 
 class InnerContext:
@@ -289,7 +304,7 @@ def generalized_step(ctx, bst):
     if ctx.k > 1 and bst.delta_prev is not None \
             and delta > max(bst.delta_prev, bst.delta_min):
         bst.delta_min *= ctx.ls.tau
-    return InnerResult(x_new, x_new.copy(), dd / delta, 1.0 / delta, 1, delta,
+    return InnerResult(x_new, x_new, dd / delta, 1.0 / delta, 1, delta,
                        f_new)
 
 
@@ -450,38 +465,36 @@ def accelerated_loop(ctx, bst, psi_val, schedule='adaptive', record=None,
 def exact_block_solve(ctx, bst, cg_tol=1e-6, cg_maxit=100000):
     """Minimize the exact block objective L_i.
 
-    h = 0: conjugate gradient on (H_f + rho A^T A) u = rho A^T c
-    - grad f(0), warm started at the current iterate, stopping when the
-    gradient norm falls below cg_tol. Gram = c*I with f = 0: single prox.
-    The result carries r = 0 and Gamma = +inf.
+    h = 0: (H_f + rho A^T A) u = rho A^T c - grad f(0) in one solve with
+    K and grad f(0) from the workspace's ``system``; without K, by CG on
+    ``hess_apply`` warm started at the current iterate, stopping once the
+    residual norm is below cg_tol. Gram = c*I with f = 0: single prox. The
+    result carries r = 0, Gamma = +inf and l = 1 (CG: its iterations).
     """
     h = ctx.block.h
     f = ctx.block.f
     rho = ctx.rho
     n = ctx.block.dim
     if getattr(h, 'is_zero', False):
+        K, g0 = ctx.workspace.system(f, rho)
+        rhs = rho * ctx.adjoint_c() - g0
+        if K is not None:
+            u = K.solve_shifted(0.0, 1.0, rhs)
+            return InnerResult(u, u, 0.0, np.inf, 1, float('nan'))
         if f.hess_apply is None:
             raise UnsupportedSubproblem(
                 ctx.i + 1, f"block {ctx.i + 1}: CG path needs a quadratic "
                            "smooth part")
-        rhs = rho * ctx.adjoint_c() - f.gradient(np.zeros(n))
         G = ctx.workspace.gram_basis()
-
-        def matvec(v):
-            return f.hess_apply(v) + rho * G.apply(v)
-
-        iters = [0]
-
-        def count(_):
-            iters[0] += 1
-
-        op = LinearOperator((n, n), matvec=matvec)
+        iters = []
+        op = LinearOperator(
+            (n, n), matvec=lambda v: f.hess_apply(v) + rho * G.apply(v))
         u, info = cg(op, rhs, x0=bst.x.copy(), rtol=0.0, atol=cg_tol,
-                     maxiter=cg_maxit, callback=count)
+                     maxiter=cg_maxit, callback=iters.append)
         if info > 0:
             raise CGNotConverged(cg_maxit)
         return InnerResult(u, u.copy(), 0.0, np.inf,
-                           max(iters[0], 1), float('nan'))
+                           max(len(iters), 1), float('nan'))
     c = ctx.workspace.identity_multiple()
     if c is not None and c > 0.0 and getattr(f, 'is_zero', False):
         u = h.prox(ctx.adjoint_c() / c, 1.0 / (rho * c))

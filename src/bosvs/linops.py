@@ -8,10 +8,10 @@ blur cover the structures used by the benchmark problems.
 
 ``gram(a, b)`` returns A^T B as an operator of this module: ``ZeroOp``
 (possibly rectangular), ``ScaledIdentityOp``, ``Diagonalized`` by a fast
-orthonormal transform (the DCT-II for differences) or the ``DenseOp``
-fallback. These four also solve their shifted systems (``solve_shifted``)
-and report their spectrum (``eig_bounds``). Stacks sum their part Grams
-structurally, so structured Grams are never materialized.
+orthonormal transform (the DCT-II for differences and symmetric 3x3
+blurs) or the ``DenseOp`` fallback. These four also solve their shifted
+systems (``solve_shifted``) and report their spectrum (``eig_bounds``).
+Stacks sum their part Grams structurally, so they are never materialized.
 ``assemble_back_sub`` collects these values into the lower
 block-triangular M of blocks 2..m, whose diagonal blocks form H, and
 checks each for full rank; ``back_substitute`` applies the correction
@@ -23,7 +23,7 @@ import functools
 import numpy as np
 from scipy import sparse
 from scipy.fft import dctn, idctn
-from scipy.linalg import eigh
+from scipy.linalg import cho_factor, cho_solve, eigh
 
 from .errors import BadDims, DimensionMismatch, RankDeficient
 
@@ -92,7 +92,7 @@ class LinOp:
 class DenseOp(LinOp):
     """Wrap an explicit matrix. Storage is column-major contiguous.
 
-    Shifted solves use its eigendecomposition, computed on first use.
+    Shifted solves use its eigendecomposition; unshifted ones, Cholesky.
     """
 
     def __init__(self, a):
@@ -106,6 +106,10 @@ class DenseOp(LinOp):
     def _eigh(self):
         return eigh(self._a)
 
+    @functools.cached_property
+    def _cho(self):
+        return cho_factor(self._a)
+
     def apply(self, v):
         return self._a @ self._check_apply(v)
 
@@ -116,6 +120,8 @@ class DenseOp(LinOp):
         return np.array(self._a)
 
     def solve_shifted(self, delta, rho, rhs):
+        if delta == 0.0 and rho == 1.0:
+            return cho_solve(self._cho, rhs, check_finite=False)
         w, q = self._eigh
         dvals = delta + rho * w
         u = q @ ((q.T @ rhs) / dvals)
@@ -284,6 +290,15 @@ class HaarTransform(LinOp):
         return ScaledIdentityOp(self.cols, 1.0)
 
 
+@functools.cache
+def _dct_basis(r, c):
+    """One (forward, inverse) orthonormal 2-D DCT-II pair per image shape."""
+    return (lambda v: dctn(np.asarray(v, dtype=float).reshape(r, c),
+                           type=2, norm='ortho').ravel(),
+            lambda w: idctn(np.asarray(w, dtype=float).reshape(r, c),
+                            type=2, norm='ortho').ravel())
+
+
 class DiffOperator(LinOp):
     """Forward differences on a 2-D grid with replicate boundary.
 
@@ -330,17 +345,8 @@ class DiffOperator(LinOp):
         r, c = self.imrows, self.imcols
         lr = 4.0 * np.sin(np.pi * np.arange(r) / (2.0 * r)) ** 2
         lc = 4.0 * np.sin(np.pi * np.arange(c) / (2.0 * c)) ** 2
-        eig = (lr[:, None] + lc[None, :]).ravel()
-
-        def fwd(v):
-            return dctn(np.asarray(v, dtype=float).reshape(r, c),
-                        type=2, norm='ortho').ravel()
-
-        def inv(w):
-            return idctn(np.asarray(w, dtype=float).reshape(r, c),
-                         type=2, norm='ortho').ravel()
-
-        return Diagonalized(eig, fwd, inv)
+        return Diagonalized((lr[:, None] + lc[None, :]).ravel(),
+                            *_dct_basis(r, c))
 
 
 class BlurOperator(LinOp):
@@ -399,6 +405,19 @@ class BlurOperator(LinOp):
     def to_dense(self):
         return self._mat.toarray()
 
+    def self_gram(self):
+        """F^T F in the DCT-II basis for a kernel symmetric in both axes
+        with half-width <= 1 (clipping is then half-sample reflection),
+        else None. F's eigenvalues are fwd(F e_0) / fwd(e_0)."""
+        k = self.kernel
+        if max(k.shape) > 3 or not (np.array_equal(k, k[::-1])
+                                    and np.array_equal(k, k[:, ::-1])):
+            return None
+        fwd, inv = _dct_basis(self.imrows, self.imcols)
+        e0 = np.zeros(self.cols)
+        e0[0] = 1.0
+        return Diagonalized((fwd(self.apply(e0)) / fwd(e0)) ** 2, fwd, inv)
+
 
 class Diagonalized(LinOp):
     """Q^T diag(eig) Q, with ``forward`` applying Q and ``inverse`` Q^T."""
@@ -433,17 +452,20 @@ def _from_array(g, tol=1e-12):
     return DenseOp(g)
 
 
-def _add(x, y):
-    """Structural sum of two Gram values of one shape."""
-    if isinstance(x, ZeroOp) or isinstance(y, ZeroOp):
+def _add(x, y, c=1.0):
+    """Structural sum x + c y of two Gram values of one shape."""
+    if isinstance(y, ZeroOp) or isinstance(x, ZeroOp) and c == 1.0:
         return y if isinstance(x, ZeroOp) else x
-    if isinstance(x, ScaledIdentityOp):
-        x, y = y, x
-    if isinstance(y, ScaledIdentityOp) and isinstance(x, ScaledIdentityOp):
-        return ScaledIdentityOp(x.rows, x.scalar + y.scalar)
-    if isinstance(y, ScaledIdentityOp) and isinstance(x, Diagonalized):
-        return Diagonalized(x.eig + y.scalar, x.forward, x.inverse)
-    return _from_array(x.to_dense() + y.to_dense())
+    sx, sy = x.scalar, y.scalar     # not None for multiples of I
+    if sx is not None and sy is not None:
+        return ScaledIdentityOp(x.rows, sx + c * sy)
+    if isinstance(y, Diagonalized) and sx is not None:
+        return Diagonalized(sx + c * y.eig, y.forward, y.inverse)
+    if isinstance(x, Diagonalized) and (
+            sy is not None or getattr(y, 'forward', None) is x.forward):
+        return Diagonalized(x.eig + c * (y.eig if sy is None else sy),
+                            x.forward, x.inverse)
+    return _from_array(x.to_dense() + c * y.to_dense())
 
 
 def gram(a, b):

@@ -82,7 +82,7 @@ class OuterParams:
     max_outer_iters : int
         Outer iteration budget, >= 1.
     cg_tol : float
-        Absolute gradient-norm tolerance of the exact scheme's CG.
+        Absolute residual tolerance of the exact scheme's CG fallback.
     reference : (x_star, lam_star) or None
         Enables the E_k column in the trace.
 
@@ -304,8 +304,9 @@ def outer_step(p, s, params, bs, workspaces=None, t0=None):
             else 'multistep'
         E = energy_E(p, s, params.rho, params.alpha, params.reference,
                      bs, mode)
-    rec = TraceRecord(s.k, time.perf_counter() - t0, objective(p, z), e,
-                      np.linalg.norm(primal_vec), E,
+    f_known = [r.f_next if r.z is r.x_next else None for r in results]
+    rec = TraceRecord(s.k, time.perf_counter() - t0, objective(p, z, f_known),
+                      e, np.linalg.norm(primal_vec), E,
                       [res.inner_iters for res in results], s.deltas,
                       s.Gammas)
     # correction step

@@ -25,12 +25,16 @@ class SmoothPart:
 
     ``lipschitz`` may be None; every algorithm runs without it (the line
     searches adapt). ``hess_apply`` is optional and, when present, must
-    be the state-independent Hessian action of a quadratic.
+    be the state-independent Hessian action of a quadratic; ``hess_gram(n)``
+    gives it as a cheap ``linops`` Gram value on R^n, or None. ``dim`` is
+    the input length, if fixed.
     """
 
     lipschitz = None
     hess_apply = None
     is_zero = False
+    hess_gram = None
+    dim = None
 
     def value(self, x):
         raise NotImplementedError
@@ -81,6 +85,10 @@ class Problem:
             if blk.A.rows != rows:
                 raise DimensionMismatch(
                     f"block {i + 1} has {blk.A.rows} rows, expected {rows}")
+            if blk.f.dim not in (None, blk.dim):
+                raise DimensionMismatch(
+                    f"block {i + 1}: smooth part {type(blk.f).__name__} "
+                    f"takes length {blk.f.dim}, the block has {blk.dim}")
         if b.size != rows:
             raise DimensionMismatch(
                 f"b has length {b.size}, expected {rows}")
@@ -119,11 +127,12 @@ class Problem:
         return out
 
 
-def objective(p, x):
-    """Phi(x) = sum_i f_i(x_i) + h_i(x_i); +inf propagates."""
+def objective(p, x, f_known=None):
+    """Phi(x) = sum_i f_i(x_i) + h_i(x_i); +inf propagates. A value of
+    ``f_known`` other than None is the f_i(x_i) a caller already took."""
     total = 0.0
-    for blk, xi in zip(p.blocks, p.split(x)):
-        total += blk.f.value(xi)
+    for blk, xi, fv in zip(p.blocks, p.split(x), f_known or [None] * p.m):
+        total += blk.f.value(xi) if fv is None else fv
         hv = blk.h.value(xi)
         if hv == np.inf:
             return np.inf

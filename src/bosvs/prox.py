@@ -8,6 +8,7 @@ scale t instead of living in separate weighted types.
 
 import numpy as np
 
+from . import linops
 from .errors import DimensionMismatch, EmptyBox, NegativeThreshold
 from .problem import NonsmoothPart, SmoothPart
 
@@ -136,14 +137,18 @@ class ZeroSmooth(SmoothPart):
     def hess_apply(self, v):
         return np.zeros_like(np.asarray(v, dtype=float))
 
+    def hess_gram(self, n):
+        return linops.ZeroOp(n, n)
+
 
 class QuadraticLS(SmoothPart):
     """f(u) = 0.5 * ||F u - data||^2 for a LinOp F.
 
-    The gradient is F^T (F u - data); the Hessian action F^T F v is exact
-    and state independent, so the conjugate-gradient subproblem path can
-    use it. ``lipschitz`` is the largest eigenvalue of F^T F, estimated
-    by power iteration on first access unless supplied.
+    The gradient is F^T (F u - data). ``hess_gram`` gives the Hessian
+    F^T F as a Gram value when F is dense or has a structured
+    ``self_gram``, never materializing a matrix-free F; ``hess_apply``
+    is its action. ``lipschitz`` is the largest eigenvalue of F^T F,
+    estimated by power iteration on first access unless supplied.
     """
 
     def __init__(self, F, data, lipschitz=None):
@@ -163,6 +168,15 @@ class QuadraticLS(SmoothPart):
 
     def hess_apply(self, v):
         return self.F.apply_adjoint(self.F.apply(v))
+
+    @property
+    def dim(self):
+        return self.F.cols
+
+    def hess_gram(self, n):
+        if isinstance(self.F, linops.DenseOp):
+            return linops.gram(self.F, self.F)
+        return getattr(self.F, 'self_gram', lambda: None)()
 
     @property
     def lipschitz(self):

@@ -83,6 +83,24 @@ def test_malformed_problem_file_is_an_error(tmp_path, capsys):
             assert err.startswith('error: '), err
 
 
+def test_smooth_part_of_another_length_is_an_error(tmp_path):
+    doc = {'schema': problem_io.SCHEMA, 'b': {'zeros': 2},
+           'blocks': [{'A': {'kind': 'identity', 'n': 2},
+                       'f': {'kind': 'quadratic_ls',
+                             'F': {'kind': 'dense',
+                                   'matrix': np.eye(3).tolist()},
+                             'data': [1.0, 2.0, 3.0]},
+                       'h': {'kind': 'zero'}}]}
+    path = str(tmp_path / 'mismatch.json')
+    with open(path, 'w') as fh:
+        json.dump(doc, fh)
+    proc = run_cli(['solve', '--problem', path, '--scheme', 'exact',
+                    '--rho', '1.0'])
+    assert proc.returncode == 1
+    assert 'error: block 1: smooth part QuadraticLS' in proc.stderr
+    assert 'Traceback' not in proc.stderr
+
+
 def test_bad_usage_reports_usage():
     proc = run_cli(['solve', '--problem', 'x.json', '--scheme', 'sneaky',
                     '--rho', '1.0'])

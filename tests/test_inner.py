@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bosvs import inner, linops, problem, prox
+from bosvs import bench, inner, linops, outer, problem, prox
 from bosvs.errors import (CGNotConverged, InnerIterationCap,
                           LineSearchDiverged, MissingLipschitz,
                           UnsupportedSubproblem)
@@ -218,9 +218,8 @@ def test_generalized_step_outputs():
     assert res.inner_iters == 1
     assert res.r == pytest.approx(dd / res.delta_final, rel=1e-14)
     assert res.Gamma == pytest.approx(1.0 / res.delta_final, rel=1e-14)
-    assert np.array_equal(res.z, res.x_next)
-    res.z[0] += 1.0
-    assert res.z[0] != res.x_next[0]
+    # z is x_next itself, so the trace objective can reuse f there
+    assert res.z is res.x_next
     # accepted stepsize satisfies the descent condition with zero slack
     lhs = f.value(x0) + float(f.gradient(x0) @ d) \
         + 0.5 * (1.0 - ctx.ls.sigma) * res.delta_final * dd
@@ -513,12 +512,21 @@ def test_accelerated_missing_lipschitz():
         inner.accelerated_loop(ctx, bst, np.inf, schedule='fastest')
 
 
+def blur5_smooth(size, seed):
+    """Least squares through a 5x5 blur: F^T F has no structured Gram
+    value, so the exact scheme reaches CG."""
+    rng = np.random.default_rng(seed)
+    return prox.QuadraticLS(linops.BlurOperator.uniform(size, size, 5),
+                            rng.standard_normal(size * size))
+
+
 def test_exact_cg_matches_dense_solve():
     rng = np.random.default_rng(220)
-    rows, n = 12, 9
-    A = linops.DenseOp(rng.standard_normal((rows, n)))
-    f = quad_smooth(rows, n, seed=221)
+    n = 36
+    A = linops.DenseOp(rng.standard_normal((40, n)))
+    f = blur5_smooth(6, seed=221)
     ctx, bst = one_block(A, f, prox.ZeroProx(), rho=0.8, seed=222)
+    assert ctx.workspace.system(f, 0.8)[0] is None
     res = inner.exact_block_solve(ctx, bst, cg_tol=1e-12)
     G = A.to_dense().T @ A.to_dense()
     Hf = f.F.to_dense().T @ f.F.to_dense()
@@ -528,8 +536,90 @@ def test_exact_cg_matches_dense_solve():
     assert res.r == 0.0
     assert np.isinf(res.Gamma)
     assert np.isnan(res.delta_final)
-    assert res.inner_iters >= 1
+    assert res.inner_iters > 1
     assert np.array_equal(res.z, res.x_next)
+
+
+def dense_exact_system(p, i, ctx):
+    """(H_f + rho A^T A, rho A^T c + F^T data) of block i, materialized."""
+    blk = p.blocks[i]
+    A, F = blk.A.to_dense(), blk.f.F.to_dense()
+    return (F.T @ F + ctx.rho * A.T @ A,
+            ctx.rho * A.T @ ctx.c_vec + F.T @ blk.f.data)
+
+
+@pytest.mark.parametrize('make, rho', [
+    (lambda: bench.make_lasso(bench.LassoConfig(n=300, d=400, seed=0)), 1.0),
+    (lambda: bench.make_deblur(bench.DeblurConfig(size=8)), 5e-4)],
+    ids=['lasso', 'deblur8'])
+def test_exact_direct_solve_matches_dense_solve(make, rho):
+    p = make()
+    rng = np.random.default_rng(260)
+    b_ik = rng.standard_normal(p.rows)
+    lam = rng.standard_normal(p.rows)
+    ctx = inner.InnerContext(p, 0, b_ik, lam, rho)
+    bst = inner.BlockState(np.zeros(p.dims[0]), 1e-10)
+    res = inner.exact_block_solve(ctx, bst)
+    K, rhs = dense_exact_system(p, 0, ctx)
+    ue = np.linalg.solve(K, rhs)
+    assert np.linalg.norm(res.x_next - ue) <= 1e-10 * np.linalg.norm(ue)
+    assert res.inner_iters == 1 and res.z is res.x_next
+    assert type(ctx.workspace.system(p.blocks[0].f, rho)[0]) in (
+        linops.DenseOp, linops.Diagonalized)
+
+
+def test_exact_cg_fallback_never_materializes_the_blur(monkeypatch):
+    p = bench.make_deblur(bench.DeblurConfig(size=8, blur_size=5))
+
+    def refuse(op):
+        raise AssertionError("BlurOperator.to_dense called")
+
+    monkeypatch.setattr(linops.BlurOperator, 'to_dense', refuse)
+    res = outer.solve(p, outer.OuterParams(rho=5e-4, scheme='exact',
+                                           stop_tol=1e-3,
+                                           max_outer_iters=3000))
+    assert res.converged
+    # the blur block runs CG; the prox blocks take one step each
+    assert res.trace[0].inner_iters[0] > 1
+
+
+@pytest.mark.parametrize('make, rho, stop_tol', [
+    (lambda: bench.make_lasso(bench.LassoConfig(seed=0)), 1.0, None),
+    (lambda: bench.make_deblur(bench.DeblurConfig(size=8)), 5e-4, 1e-3)],
+    ids=['lasso', 'deblur8'])
+def test_exact_scheme_takes_no_hessian_action(monkeypatch, make, rho,
+                                              stop_tol):
+    p = make()
+    calls = []
+    hess_apply = prox.QuadraticLS.hess_apply
+
+    def counting(f, v):
+        calls.append(1)
+        return hess_apply(f, v)
+
+    monkeypatch.setattr(prox.QuadraticLS, 'hess_apply', counting)
+    res = outer.solve(p, outer.OuterParams(rho=rho, scheme='exact',
+                                           stop_tol=stop_tol,
+                                           max_outer_iters=3000))
+    assert res.converged
+    assert calls == []
+    assert all(rec.inner_iters == [1] * p.m for rec in res.trace)
+
+
+def test_exact_singular_system_falls_back_to_cg():
+    # A and F share a null vector, so H_f + rho A^T A has no factor
+    rng = np.random.default_rng(270)
+    A = rng.standard_normal((8, 5))
+    F = rng.standard_normal((6, 5))
+    A[:, 2] = F[:, 2] = 0.0
+    f = prox.QuadraticLS(linops.DenseOp(F), rng.standard_normal(6))
+    p = problem.Problem([problem.Block(linops.DenseOp(A), f, prox.ZeroProx()),
+                         problem.Block(linops.NegIdentityOp(8),
+                                       prox.ZeroSmooth(), prox.ScaledL1(0.1))],
+                        np.zeros(8))
+    res = outer.solve(p, outer.OuterParams(rho=1.0, scheme='exact',
+                                           max_outer_iters=2000))
+    assert res.converged and res.trace[0].inner_iters[0] > 1
 
 
 def test_exact_prox_path_sign_conditions():
@@ -570,8 +660,8 @@ def test_exact_unsupported_blocks():
 
 def test_exact_cg_iteration_cap():
     rng = np.random.default_rng(250)
-    A = linops.DenseOp(rng.standard_normal((40, 30)))
-    f = quad_smooth(40, 30, seed=251)
+    A = linops.DenseOp(rng.standard_normal((70, 64)))
+    f = blur5_smooth(8, seed=251)
     ctx, bst = one_block(A, f, prox.ZeroProx(), seed=252)
     with pytest.raises(CGNotConverged) as info:
         inner.exact_block_solve(ctx, bst, cg_tol=1e-16, cg_maxit=2)

@@ -147,6 +147,26 @@ def test_blur_preserves_constants():
     assert np.allclose(out, 2.0, atol=1e-14)
 
 
+def test_blur_self_gram_is_diagonal_in_the_dct_basis():
+    sym = np.array([[0.05, 0.1, 0.05], [0.1, 0.4, 0.1], [0.05, 0.1, 0.05]])
+    ops = [BlurOperator.uniform(8, 8, 3), BlurOperator(8, 8, sym),
+           BlurOperator(6, 6, np.array([[1.7]])),
+           BlurOperator(8, 12, sym)]
+    for op in ops:
+        g = op.self_gram()
+        assert type(g) is Diagonalized
+        want = op.to_dense().T @ op.to_dense()
+        got = np.column_stack([g.apply(e) for e in np.eye(op.cols)])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        # the blur shares its basis with the differences on the same grid
+        d = DiffOperator(op.imrows, op.imcols).self_gram()
+        assert g.forward is d.forward and g.inverse is d.inverse
+    asym = sym.copy()
+    asym[0, 0] = 0.0
+    assert BlurOperator.uniform(8, 8, 5).self_gram() is None
+    assert BlurOperator(8, 8, asym).self_gram() is None
+
+
 def test_gram_structured_fast_paths_are_exact():
     n = 12
     ident = IdentityOp(n)

@@ -218,10 +218,10 @@ def repeated_points(monkeypatch, method, solve):
             seen.append(x.tobytes())
         return orig(f, x)
 
-    def flagged_objective(p, z):
+    def flagged_objective(p, z, *known):
         in_objective.append(True)
         try:
-            return objective(p, z)
+            return objective(p, z, *known)
         finally:
             in_objective.pop()
 
@@ -250,6 +250,42 @@ def test_steps_reuse_f_at_the_accepted_point(monkeypatch):
         params = outer.OuterParams(rho=1.0, scheme=scheme)
         assert repeated_points(monkeypatch, 'value',
                                lambda: outer.solve(p, params)) == 0, scheme
+
+
+def test_trace_objective_reuses_the_generalized_step_f(monkeypatch):
+    # the generalized step took f at its z = x_next; taking it again in the
+    # trace objective would cost one value call per iteration
+    p = bench.make_lasso(bench.LassoConfig(seed=0))
+    params = outer.OuterParams(rho=1.0, scheme='generalized')
+    calls = []
+    value = prox.QuadraticLS.value
+    objective = outer.objective
+
+    def counting(f, x):
+        calls.append(1)
+        return value(f, x)
+
+    monkeypatch.setattr(prox.QuadraticLS, 'value', counting)
+    runs = []
+    for known in (True, False):
+        if not known:
+            monkeypatch.setattr(outer, 'objective',
+                                lambda p, z, *_: objective(p, z))
+        calls.clear()
+        res = outer.solve(p, params)
+        runs.append((len(calls), [(r.objective, r.e_k) for r in res.trace]))
+    (reused, trace), (taken, trace_taken) = runs
+    assert trace == trace_taken
+    assert taken - reused == len(trace) > 10
+
+
+def test_exact_lasso_reaches_the_default_tolerance():
+    # an absolute CG tolerance used to freeze the iterate short of stop_tol
+    p = bench.make_lasso(bench.LassoConfig(n=300, d=400, seed=0))
+    res = outer.solve(p, outer.OuterParams(rho=1.0, scheme='exact',
+                                           max_outer_iters=1000),
+                      raise_on_maxiter=False)
+    assert res.reason == 'converged'
 
 
 def test_inner_iteration_cap_ends_the_run_as_stagnated():

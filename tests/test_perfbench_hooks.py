@@ -1,6 +1,9 @@
-"""The perfbench span tracer finds every library name it wraps."""
+"""The perfbench span tracer finds every library name it wraps, and the
+benchmark's independent checks accept the library's answers."""
 
 import os
+import subprocess
+import sys
 
 from bosvs import inner, outer
 
@@ -21,3 +24,10 @@ def test_tracer_installs_and_restores(monkeypatch):
         tracer.uninstall()
     assert (outer.solve, outer.generalized_step,
             inner._composite_argmin) == originals
+
+
+def test_perfbench_selftest_passes():
+    proc = subprocess.run([sys.executable,
+                           os.path.join(PERFBENCH, 'selftest.py')],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

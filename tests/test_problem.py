@@ -51,6 +51,15 @@ def test_problem_rejects_row_mismatch():
         Problem([], np.zeros(0))
 
 
+def test_problem_rejects_smooth_part_of_another_length():
+    f = QuadraticLS(DenseOp(np.ones((4, 3))), np.zeros(4))
+    blocks = [Block(IdentityOp(2), f, ZeroProx()),
+              Block(NegIdentityOp(2), ZeroSmooth(), ZeroProx())]
+    with pytest.raises(DimensionMismatch, match='block 1: smooth part '
+                       'QuadraticLS takes length 3, the block has 2'):
+        Problem(blocks, np.zeros(2))
+
+
 def test_objective_and_lagrangian_match_dense_formula():
     rng = np.random.default_rng(1)
     p, mats, F, data = dense_three_block(rng)
