@@ -13,9 +13,8 @@ outer iteration:
 * ``accelerated_loop``: Nesterov-style inner loop with either the
   constant schedule (needs a Lipschitz constant) or the adaptive
   line-searched schedule; z is the accelerated average.
-* ``exact_block_solve``: minimizes the exact block objective, by one
-  direct solve with H_f + rho A^T A (CG as the fallback) when h = 0 or one
-  prox when the Gram is a positive multiple of the identity.
+* ``exact_block_solve``: minimizes the exact block objective, by a direct
+  solve (CG as fallback) when h = 0, or one prox when the Gram is c I, c > 0.
 
 The three inexact schemes share one backtracking search over
 delta0 * eta**j (``_line_search``); the generalized step is one
@@ -150,12 +149,11 @@ class BlockState:
 
 class BlockWorkspace:
     """One block's Gram value A^T A (``linops.gram``, unless the caller
-    already holds it), shared by every subproblem solve of the block for
-    one solve, and the exact scheme's system built from it."""
+    already holds it), shared by every subproblem solve of the block."""
 
     def __init__(self, A, gram=None):
         self._gram = linops.gram(A, A) if gram is None else gram
-        self._systems = {}
+        self._system = None
 
     def gram_basis(self):
         """The Gram value: a ``ZeroOp``, ``ScaledIdentityOp``,
@@ -170,16 +168,14 @@ class BlockWorkspace:
         return self._gram.solve_shifted(delta, rho, rhs)
 
     def system(self, f, rho):
-        """The exact scheme's (K, grad f(0)) per rho, K = H_f + rho A^T A
-        as a Gram value; K is None when f's Hessian has none, or when A^T A
-        is singular (to the back-substitution rank test) and K may be too."""
-        if rho not in self._systems:
+        """The exact scheme's (``linops.direct_solver`` of H_f + rho A^T A or
+        None, grad f(0)), built once: the workspace lives for one solve."""
+        if self._system is None:
             H = f.hess_gram(self._gram.cols) if f.hess_gram else None
-            lo, hi = self._gram.eig_bounds()
-            K = None if H is None or lo <= 1e-10 * hi \
-                else linops._add(H, self._gram, rho)
-            self._systems[rho] = K, f.gradient(np.zeros(self._gram.cols))
-        return self._systems[rho]
+            self._system = (None if H is None
+                            else linops.direct_solver(H, self._gram, rho),
+                            f.gradient(np.zeros(self._gram.cols)))
+        return self._system
 
 
 class InnerContext:
@@ -465,22 +461,21 @@ def accelerated_loop(ctx, bst, psi_val, schedule='adaptive', record=None,
 def exact_block_solve(ctx, bst, cg_tol=1e-6, cg_maxit=100000):
     """Minimize the exact block objective L_i.
 
-    h = 0: (H_f + rho A^T A) u = rho A^T c - grad f(0) in one solve with
-    K and grad f(0) from the workspace's ``system``; without K, by CG on
-    ``hess_apply`` warm started at the current iterate, stopping once the
-    residual norm is below cg_tol. Gram = c*I with f = 0: single prox. The
-    result carries r = 0, Gamma = +inf and l = 1 (CG: its iterations).
+    h = 0: (H_f + rho A^T A) u = rho A^T c - grad f(0) by the workspace's
+    direct ``system`` solve, else by CG on ``hess_apply`` warm started at
+    the current iterate until the residual norm is below cg_tol. Gram = c*I
+    with f = 0: one prox. Result: r = 0, Gamma = +inf, l = 1 (CG: its count).
     """
     h = ctx.block.h
     f = ctx.block.f
     rho = ctx.rho
     n = ctx.block.dim
     if getattr(h, 'is_zero', False):
-        K, g0 = ctx.workspace.system(f, rho)
+        solve, g0 = ctx.workspace.system(f, rho)
         rhs = rho * ctx.adjoint_c() - g0
-        if K is not None:
-            u = K.solve_shifted(0.0, 1.0, rhs)
-            return InnerResult(u, u, 0.0, np.inf, 1, float('nan'))
+        if solve is not None:
+            u = solve(rhs)
+            return InnerResult(u, u, 0.0, np.inf, 1, np.nan)
         if f.hess_apply is None:
             raise UnsupportedSubproblem(
                 ctx.i + 1, f"block {ctx.i + 1}: CG path needs a quadratic "
@@ -493,10 +488,9 @@ def exact_block_solve(ctx, bst, cg_tol=1e-6, cg_maxit=100000):
                      maxiter=cg_maxit, callback=iters.append)
         if info > 0:
             raise CGNotConverged(cg_maxit)
-        return InnerResult(u, u.copy(), 0.0, np.inf,
-                           max(len(iters), 1), float('nan'))
+        return InnerResult(u, u, 0.0, np.inf, max(len(iters), 1), np.nan)
     c = ctx.workspace.identity_multiple()
     if c is not None and c > 0.0 and getattr(f, 'is_zero', False):
         u = h.prox(ctx.adjoint_c() / c, 1.0 / (rho * c))
-        return InnerResult(u, u.copy(), 0.0, np.inf, 1, float('nan'))
+        return InnerResult(u, u, 0.0, np.inf, 1, np.nan)
     raise UnsupportedSubproblem(ctx.i + 1)

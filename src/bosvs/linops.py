@@ -30,7 +30,8 @@ from .errors import BadDims, DimensionMismatch, RankDeficient
 __all__ = ['LinOp', 'DenseOp', 'ScaledIdentityOp', 'IdentityOp', 'NegIdentityOp',
            'ZeroOp', 'VStackOp', 'HaarTransform', 'DiffOperator', 'BlurOperator',
            'Diagonalized', 'gram', 'identity_multiple', 'assemble_back_sub',
-           'back_substitute', 'smallest_gram_eigenvalue', 'BackSubMatrices']
+           'back_substitute', 'smallest_gram_eigenvalue', 'BackSubMatrices',
+           'direct_solver']
 
 
 class LinOp:
@@ -92,7 +93,7 @@ class LinOp:
 class DenseOp(LinOp):
     """Wrap an explicit matrix. Storage is column-major contiguous.
 
-    Shifted solves use its eigendecomposition; unshifted ones, Cholesky.
+    Shifted solves use its eigendecomposition, computed on first use.
     """
 
     def __init__(self, a):
@@ -106,10 +107,6 @@ class DenseOp(LinOp):
     def _eigh(self):
         return eigh(self._a)
 
-    @functools.cached_property
-    def _cho(self):
-        return cho_factor(self._a)
-
     def apply(self, v):
         return self._a @ self._check_apply(v)
 
@@ -120,8 +117,6 @@ class DenseOp(LinOp):
         return np.array(self._a)
 
     def solve_shifted(self, delta, rho, rhs):
-        if delta == 0.0 and rho == 1.0:
-            return cho_solve(self._cho, rhs, check_finite=False)
         w, q = self._eigh
         dvals = delta + rho * w
         u = q @ ((q.T @ rhs) / dvals)
@@ -485,9 +480,22 @@ def gram(a, b):
     if (isinstance(a, VStackOp) and isinstance(b, VStackOp)
             and [p.rows for p in a.parts] == [p.rows for p in b.parts]):
         return functools.reduce(_add, map(gram, a.parts, b.parts))
-    if a is b and hasattr(a, 'self_gram'):
-        return a.self_gram()
-    return _from_array(a.to_dense().T @ b.to_dense())
+    g = a.self_gram() if a is b and hasattr(a, 'self_gram') else None
+    return g if g is not None else _from_array(a.to_dense().T @ b.to_dense())
+
+
+def direct_solver(h, g, rho):
+    """rhs -> (H + rho G)^{-1} rhs for Gram values H >= 0 and G, or None
+    when G fails the back-substitution rank test (the sum may be singular
+    too). A dense sum is Cholesky factored, a tenth of its ``eigh``'s cost."""
+    lo, hi = g.eig_bounds()
+    if lo <= 1e-10 * hi:
+        return None
+    k = _add(h, g, rho)
+    if isinstance(k, DenseOp):
+        cho = cho_factor(k._a, check_finite=False)
+        return lambda rhs: cho_solve(cho, rhs, check_finite=False)
+    return functools.partial(k.solve_shifted, 0.0, 1.0)
 
 
 def identity_multiple(g):

@@ -144,11 +144,10 @@ class ZeroSmooth(SmoothPart):
 class QuadraticLS(SmoothPart):
     """f(u) = 0.5 * ||F u - data||^2 for a LinOp F.
 
-    The gradient is F^T (F u - data). ``hess_gram`` gives the Hessian
-    F^T F as a Gram value when F is dense or has a structured
-    ``self_gram``, never materializing a matrix-free F; ``hess_apply``
-    is its action. ``lipschitz`` is the largest eigenvalue of F^T F,
-    estimated by power iteration on first access unless supplied.
+    The gradient is F^T (F u - data). ``hess_gram`` is the Hessian F^T F
+    as a Gram value if F is dense or has a structured ``self_gram``, else
+    None (a matrix-free F is never materialized). ``lipschitz`` is the
+    largest eigenvalue of F^T F (power iteration on first use) unless given.
     """
 
     def __init__(self, F, data, lipschitz=None):

@@ -213,7 +213,9 @@ def test_gram_matches_dense_oracle():
 
 def gram_cases(rng):
     """Operator pairs: every block pair of lasso and deblur 8/16, a dense
-    fallback (with itself and with another operator), a rectangular zero."""
+    fallback (with itself and with another operator), a rectangular zero,
+    and blurs with no structured self Gram (5x5, asymmetric 3x3; alone
+    and in a stack)."""
     problems = [bench.make_lasso(bench.LassoConfig(n=12, d=15, seed=0)),
                 bench.make_deblur(bench.DeblurConfig(size=8)),
                 bench.make_deblur(bench.DeblurConfig(size=16))]
@@ -222,6 +224,10 @@ def gram_cases(rng):
     d = DenseOp(rng.standard_normal((9, 5)))
     pairs += [(d, d), (d, DenseOp(rng.standard_normal((9, 3)))),
               (ZeroOp(6, 3), DenseOp(rng.standard_normal((6, 4))))]
+    b5 = BlurOperator.uniform(6, 6, 5)
+    asym = BlurOperator(6, 6, rng.random((3, 3)))
+    st = VStackOp([b5, IdentityOp(36)])
+    pairs += [(b5, b5), (asym, asym), (st, st)]
     return pairs
 
 
@@ -357,6 +363,30 @@ def test_back_substitute_identity_structure_is_relaxation():
     z = rng.standard_normal(2 * n)
     got = back_substitute(bs, y, z, 0.999)
     assert np.allclose(got, y + 0.999 * (z - y), atol=1e-14)
+
+
+def test_back_substitute_through_ill_conditioned_dense_block():
+    # the trailing block's Gram has condition number 1e8
+    rng = np.random.default_rng(10)
+    rows, d = 30, 8
+    u, _ = np.linalg.qr(rng.standard_normal((rows, d)))
+    v, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    a3 = u @ np.diag(np.logspace(0.0, -4.0, d)) @ v.T
+    a2 = rng.standard_normal((rows, 5))
+    bs = assemble_back_sub([DenseOp(a2), DenseOp(a3)])
+    h3 = a3.T @ a3
+    assert np.linalg.cond(h3) > 1e7
+    m = np.block([[a2.T @ a2, np.zeros((5, d))], [a3.T @ a2, h3]])
+    h = np.block([[a2.T @ a2, np.zeros((5, d))], [np.zeros((d, 5)), h3]])
+    for _ in range(3):
+        y = rng.standard_normal(5 + d)
+        z = rng.standard_normal(5 + d)
+        want = y + 0.9 * np.linalg.solve(m.T, h @ (z - y))
+        got = back_substitute(bs, y, z, 0.9)
+        assert np.linalg.norm(got - want) <= 1e-7 * np.linalg.norm(want)
+        w = rng.standard_normal(5 + d)
+        ue = np.linalg.solve(h, w)
+        assert np.linalg.norm(bs.solve_H(w) - ue) <= 1e-7 * np.linalg.norm(ue)
 
 
 def test_back_sub_rejects_rank_deficient_blocks():
