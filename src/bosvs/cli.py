@@ -19,7 +19,7 @@ import numpy as np
 from .bench import (DeblurConfig, LassoConfig, REFERENCE_CAP, ista_oracle,
                     make_deblur, make_lasso, refsolve, run_benchmark)
 from .errors import MaxItersReached, SolverError
-from .inner import RelaxationParams
+from .inner import ACCEL_SCHEDULES, RelaxationParams
 from .outer import SCHEMES, OuterParams, solve, write_summary, write_trace_csv
 from .problem import objective
 from .problem_io import load_problem, save_problem
@@ -53,7 +53,7 @@ def _add_common(sp, rho_default=None, tol_default=None):
     sp.add_argument('--max-iters', type=int, default=100000)
     sp.add_argument('--relaxed', type=_bool, default=True,
                     help='practical stopping/line-search slack (true/false)')
-    sp.add_argument('--accel-schedule', choices=['adaptive', 'constant'],
+    sp.add_argument('--accel-schedule', choices=ACCEL_SCHEDULES,
                     default='adaptive')
 
 

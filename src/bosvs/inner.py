@@ -14,7 +14,7 @@ outer iteration:
   constant schedule (needs a Lipschitz constant) or the adaptive
   line-searched schedule; z is the accelerated average.
 * ``exact_block_solve``: minimizes the exact block objective, by a direct
-  solve (CG as fallback) when h = 0, or one prox when the Gram is c I, c > 0.
+  solve (CG fallback) if h = 0, or one prox if f = 0 and Gram = c I, c > 0.
 
 The three inexact schemes share one backtracking search over
 delta0 * eta**j (``_line_search``); the generalized step is one
@@ -43,6 +43,7 @@ __all__ = ['LineSearchParams', 'RelaxationParams', 'InnerResult',
            'multistep_loop', 'accelerated_loop', 'exact_block_solve']
 
 LINE_SEARCH_CAP = 60
+ACCEL_SCHEDULES = ('adaptive', 'constant')
 
 
 class LineSearchParams:
@@ -97,21 +98,17 @@ class InnerResult:
     x_next feeds the next outer iteration's expansion point, z enters the
     error measure and back substitution, r is the inexactness term,
     Gamma the accumulated weight (1/delta for the generalized scheme,
-    +inf for the exact baseline), inner_iters the count l_i^k,
-    delta_final the last accepted stepsize parameter (NaN for exact), and
-    f_next the smooth part's value at x_next when the line search already
-    took it (None otherwise).
+    +inf for the exact baseline), inner_iters the count l_i^k, and
+    delta_final the last accepted stepsize parameter (NaN for exact).
     """
 
-    def __init__(self, x_next, z, r, Gamma, inner_iters, delta_final,
-                 f_next=None):
+    def __init__(self, x_next, z, r, Gamma, inner_iters, delta_final):
         self.x_next = x_next
         self.z = z
         self.r = float(r)
         self.Gamma = float(Gamma)
         self.inner_iters = int(inner_iters)
         self.delta_final = float(delta_final)
-        self.f_next = f_next
 
 
 class BlockState:
@@ -124,27 +121,35 @@ class BlockState:
         self.delta_min = float(delta_min)
         self.Gamma_prev = 0.0
         self.l_prev = 1
-        self.fx = None                # f(x) if the last step returned it
-        self._grads = []              # (point, grad f(point)) pairs
+        self._memo = []               # [point, f(point), grad f(point)]
 
-    def value(self, f):
-        """f(x), reusing the value the previous step returned at x."""
-        return f.value(self.x) if self.fx is None else self.fx
+    def _memoized(self, u, slot, fn):
+        """Points match by identity (iterates are rebound, never written in
+        place). An entry lives while its point is x or x_prev or is the
+        newest, so the BB seed at x^k reuses iteration k-1's gradient at
+        x^{k-1}, and a step from an accepted trial point reuses f there."""
+        for e in self._memo:
+            if e[0] is u:
+                break
+        else:
+            e = [u, None, None]
+            self._memo = [d for d in self._memo
+                          if d[0] is self.x or d[0] is self.x_prev] + [e]
+        if e[slot] is None:
+            e[slot] = fn(u)
+        return e[slot]
+
+    def value(self, f, u):
+        """f(u), memoized with grad f(u)."""
+        return self._memoized(u, 1, f.value)
 
     def gradient(self, f, u):
-        """grad f(u), held while u is still this block's x or x_prev.
+        """grad f(u), memoized with f(u)."""
+        return self._memoized(u, 2, f.gradient)
 
-        Points match by identity (iterates are rebound, never written in
-        place), so the BB seed at x^k reuses the gradient that iteration
-        k-1 took at x^{k-1}.
-        """
-        for pt, g in self._grads:
-            if pt is u:
-                return g
-        g = f.gradient(u)
-        self._grads = [(pt, h) for pt, h in self._grads
-                       if pt is self.x or pt is self.x_prev] + [(u, g)]
-        return g
+    def known_value(self, u):
+        """f(u) if the memo holds it, else None; never evaluates f."""
+        return next((fu for pt, fu, _ in self._memo if pt is u), None)
 
 
 class BlockWorkspace:
@@ -269,39 +274,37 @@ def _line_search(ctx, delta0, trial):
     raise LineSearchDiverged(ctx.i + 1, LINE_SEARCH_CAP)
 
 
-def _linearized_step(ctx, u, fu, g, delta0, slack):
-    """Backtracked linearized step from u, given fu = f(u), g = grad f(u).
+def _linearized_step(ctx, bst, u, delta0, slack):
+    """Backtracked linearized step from u, with g = grad f(u).
 
     Accepts the first trial delta whose candidate u + d satisfies
     f(u) + <g, d> + (1 - sigma) delta ||d||^2 / 2
-    >= f(u + d) - slack(delta). Returns (u + d, f(u + d), ||d||^2, delta).
+    >= f(u + d) - slack(delta). Returns (u + d, ||d||^2, delta).
     """
     f = ctx.block.f
     sig = 1.0 - ctx.ls.sigma
+    fu, g = bst.value(f, u), bst.gradient(f, u)
 
     def trial(delta):
         cand = _composite_argmin(ctx, g, u, delta)
         d = cand - u
         dd = float(d @ d)
-        fc = f.value(cand)
-        if fu + float(g @ d) + 0.5 * sig * delta * dd >= fc - slack(delta):
-            return cand, fc, dd, delta
+        if fu + float(g @ d) + 0.5 * sig * delta * dd \
+                >= bst.value(f, cand) - slack(delta):
+            return cand, dd, delta
 
     return _line_search(ctx, delta0, trial)
 
 
 def generalized_step(ctx, bst):
     """One BB-seeded linearized step; returns InnerResult with l = 1."""
-    f = ctx.block.f
     eps = ctx.relax.eps(ctx.k)
-    x_new, f_new, dd, delta = _linearized_step(
-        ctx, bst.x, bst.value(f), bst.gradient(f, bst.x),
-        _bb_seed(ctx, bst), lambda _: eps)
+    x_new, dd, delta = _linearized_step(ctx, bst, bst.x, _bb_seed(ctx, bst),
+                                        lambda _: eps)
     if ctx.k > 1 and bst.delta_prev is not None \
             and delta > max(bst.delta_prev, bst.delta_min):
         bst.delta_min *= ctx.ls.tau
-    return InnerResult(x_new, x_new, dd / delta, 1.0 / delta, 1, delta,
-                       f_new)
+    return InnerResult(x_new, x_new, dd / delta, 1.0 / delta, 1, delta)
 
 
 class RunningAverage:
@@ -325,11 +328,10 @@ class RunningAverage:
 
 
 def _run_inner(ctx, bst, psi_val, iterates, record, inner_cap, cap_error):
-    """Run an inner loop to its stopping rule; ``iterates`` yields (u,
-    f(u) or None, z, ||u - u_prev||^2, gamma, delta, displacement, record
-    extras)."""
+    """Run an inner loop to its stopping rule; ``iterates`` yields (u, z,
+    ||u - u_prev||^2, gamma, delta, displacement, record extras)."""
     sumsq = 0.0
-    for l, (u, fu, z, dd, gamma, delta, disp, extra) in zip(
+    for l, (u, z, dd, gamma, delta, disp, extra) in zip(
             range(1, inner_cap + 1), iterates):
         sumsq += dd
         if record is not None:
@@ -344,25 +346,21 @@ def _run_inner(ctx, bst, psi_val, iterates, record, inner_cap, cap_error):
             raise InnerIterationCap(ctx.i + 1, inner_cap)
     if gamma < bst.Gamma_prev:
         bst.delta_min *= ctx.ls.tau
-    return InnerResult(u, z.copy(), sumsq / gamma, gamma, l, delta, fu)
+    return InnerResult(u, z, sumsq / gamma, gamma, l, delta)
 
 
 def _multistep_iterates(ctx, bst):
-    f = ctx.block.f
     eps = ctx.relax.eps(ctx.k)
     omega = ctx.relax.omega_multistep
     delta0 = _bb_seed(ctx, bst)
     u = bst.x
-    fu, g = bst.value(f), bst.gradient(f, u)
     avg = RunningAverage(u)
     while True:
-        u, fu, dd, delta = _linearized_step(
-            ctx, u, fu, g, delta0,
+        u, dd, delta = _linearized_step(
+            ctx, bst, u, delta0,
             lambda d: eps * d * (avg.gamma + 1.0 / d) ** (-omega))
         avg.update(u, delta)
-        yield (u, fu, avg.a, dd, avg.gamma, delta, math.sqrt(dd / avg.gamma),
-               {})
-        g = f.gradient(u)
+        yield u, avg.a, dd, avg.gamma, delta, math.sqrt(dd / avg.gamma), {}
 
 
 def multistep_loop(ctx, bst, psi_val, record=None,
@@ -386,9 +384,9 @@ def _accelerated_iterates(ctx, bst, delta1):
     gamma = 0.0
 
     def point(alpha, delta):   # abar, grad f(abar), next u, next a
-        # while gamma = 0, alpha = 1 and abar is x^k, whose gradient bst holds
+        # while gamma = 0, alpha = 1: abar is x^k itself, so the memo matches
         abar = u if gamma == 0.0 else (1.0 - alpha) * a + alpha * u
-        gbar = bst.gradient(f, u) if gamma == 0.0 else f.gradient(abar)
+        gbar = bst.gradient(f, abar)
         u_new = _composite_argmin(ctx, gbar, u, delta)
         return abar, gbar, u_new, (1.0 - alpha) * a + alpha * u_new
 
@@ -396,7 +394,6 @@ def _accelerated_iterates(ctx, bst, delta1):
         delta0 = _bb_seed(ctx, bst)
         eps = ctx.relax.eps(ctx.k)
         power = -(1.0 + ctx.relax.omega_accelerated)
-        fx = bst.value(f)
 
         def trial(scaled):
             theta = 1.0 / scaled
@@ -407,10 +404,9 @@ def _accelerated_iterates(ctx, bst, delta1):
             abar, gbar, u_new, a_new = point(alpha, delta)
             step = a_new - abar
             ss = float(step @ step)
-            fbar = fx if gamma == 0.0 else f.value(abar)
-            lhs = fbar + float(gbar @ step) \
+            lhs = bst.value(f, abar) + float(gbar @ step) \
                 + 0.5 * sig * (delta / alpha) * ss
-            if lhs >= f.value(a_new) - eps * gamma_trial ** power:
+            if lhs >= bst.value(f, a_new) - eps * gamma_trial ** power:
                 return delta, alpha, gamma_trial, u_new, a_new
 
     l = 0
@@ -425,7 +421,7 @@ def _accelerated_iterates(ctx, bst, delta1):
             gamma_new = l * (l + 1.0) / (2.0 * delta1)
             _, _, u_new, a_new = point(alpha, delta)
         du = u_new - u
-        yield (u_new, None, a_new, float(du @ du), gamma_new, delta,
+        yield (u_new, a_new, float(du @ du), gamma_new, delta,
                np.linalg.norm(a_new - a), {'alpha': alpha})
         u, a, gamma = u_new, a_new, gamma_new
 
@@ -442,7 +438,7 @@ def accelerated_loop(ctx, bst, psi_val, schedule='adaptive', record=None,
     gamma^l the running sum of 1/delta^j. Stopping mirrors the multistep
     rule with displacement measured on the averages a^l.
     """
-    if schedule not in ('adaptive', 'constant'):
+    if schedule not in ACCEL_SCHEDULES:
         raise ValueError(f"unknown schedule {schedule!r}")
     delta1 = None
     if schedule == 'constant':

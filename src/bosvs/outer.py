@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import (DimensionMismatch, InnerIterationCap, MaxItersReached,
                      MissingReference, NegativeR)
-from .inner import (BlockState, BlockWorkspace, InnerContext, LineSearchParams,
-                    RelaxationParams, accelerated_loop, exact_block_solve,
-                    generalized_step, multistep_loop)
+from .inner import (ACCEL_SCHEDULES, BlockState, BlockWorkspace, InnerContext,
+                    LineSearchParams, RelaxationParams, accelerated_loop,
+                    exact_block_solve, generalized_step, multistep_loop)
 from .linops import assemble_back_sub, back_substitute
 # b_i_k is the reference form of the sweep's b_ik; perfbench traces it here
 from .problem import b_i_k, objective  # noqa: F401
@@ -101,6 +101,8 @@ class OuterParams:
             raise ValueError("alpha must lie strictly inside (0, 1)")
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}")
+        if accel_schedule not in ACCEL_SCHEDULES:
+            raise ValueError(f"unknown accel_schedule {accel_schedule!r}")
         self.rho = float(rho)
         self.alpha = float(alpha)
         self.scheme = scheme
@@ -267,7 +269,9 @@ def outer_step(p, s, params, bs, workspaces=None, t0=None):
     The sweep applies each block operator once per iterate it needs:
     ``prods[j]`` holds A_j y_j until block j is swept, then A_j z_j.
     b_ik and A z - b are summed in the order of ``problem.b_i_k`` and
-    ``Problem.apply_A``.
+    ``Problem.apply_A``. Block states carry x_i between iterations, so
+    their f and grad f memos keep matching; the trace objective reads f_i
+    at z_i from the memo when a line search took it.
     """
     if workspaces is None:
         workspaces = [BlockWorkspace(blk.A) for blk in p.blocks]
@@ -281,7 +285,6 @@ def outer_step(p, s, params, bs, workspaces=None, t0=None):
     for i in range(m):
         sl = p.block_slice(i)
         bst = s.bstates[i]
-        bst.x = s.x[sl].copy()
         b_ik = p.b.copy()
         for q in prods[:i] + prods[i + 1:]:
             b_ik -= q
@@ -290,11 +293,10 @@ def outer_step(p, s, params, bs, workspaces=None, t0=None):
         prods[i] = p.blocks[i].A.apply(z[sl])
         results.append(res)
         # roll the per-block bookkeeping forward
-        bst.x_prev = bst.x
+        bst.x_prev, bst.x = bst.x, res.x_next
         bst.delta_prev = res.delta_final
         bst.Gamma_prev = res.Gamma
         bst.l_prev = res.inner_iters
-        bst.fx = res.f_next
     r_list = [res.r for res in results]
     primal_vec = sum(prods, np.zeros(p.rows)) - p.b
     e = error_measure(params.thetas, z, s.y, r_list, p, primal_vec)
@@ -304,7 +306,7 @@ def outer_step(p, s, params, bs, workspaces=None, t0=None):
             else 'multistep'
         E = energy_E(p, s, params.rho, params.alpha, params.reference,
                      bs, mode)
-    f_known = [r.f_next if r.z is r.x_next else None for r in results]
+    f_known = [b.known_value(r.z) for b, r in zip(s.bstates, results)]
     rec = TraceRecord(s.k, time.perf_counter() - t0, objective(p, z, f_known),
                       e, np.linalg.norm(primal_vec), E,
                       [res.inner_iters for res in results], s.deltas,

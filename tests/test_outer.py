@@ -47,6 +47,9 @@ def test_outer_params_validation():
         outer.OuterParams(rho=1.0, scheme='fastest')
     with pytest.raises(ValueError):
         outer.OuterParams(rho=1.0, scheme=['generalized', 'exact'])
+    for scheme in ('accelerated', 'generalized'):
+        with pytest.raises(ValueError):
+            outer.OuterParams(rho=1.0, scheme=scheme, accel_schedule='bogus')
     params = outer.OuterParams(rho=4.0)
     assert params.thetas == outer.default_thetas(4.0, params.ls.sigma,
                                                  params.alpha)
@@ -252,11 +255,13 @@ def test_steps_reuse_f_at_the_accepted_point(monkeypatch):
                                lambda: outer.solve(p, params)) == 0, scheme
 
 
-def test_trace_objective_reuses_the_generalized_step_f(monkeypatch):
-    # the generalized step took f at its z = x_next; taking it again in the
-    # trace objective would cost one value call per iteration
+@pytest.mark.parametrize('scheme', ['generalized', 'accelerated'])
+def test_trace_objective_reuses_the_line_search_f(monkeypatch, scheme):
+    # the generalized step and the adaptive accelerated line search took f
+    # at their z; taking it again in the trace objective would cost one
+    # value call per iteration
     p = bench.make_lasso(bench.LassoConfig(seed=0))
-    params = outer.OuterParams(rho=1.0, scheme='generalized')
+    params = outer.OuterParams(rho=1.0, scheme=scheme)
     calls = []
     value = prox.QuadraticLS.value
     objective = outer.objective
