@@ -30,10 +30,6 @@ REFERENCE_CAP = 50000
 REFERENCE_WINDOW = 4
 
 
-def _is_pow2(n):
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 class DeblurConfig:
     """Deblurring instance settings.
 
@@ -46,7 +42,7 @@ class DeblurConfig:
     def __init__(self, size=32, blur_size=3, snr_db=40.0, alpha_tv=0.005,
                  beta_wav=0.001, seed=0, haar_levels=None):
         size = int(size)
-        if not _is_pow2(size) or size < 8:
+        if size < 8 or size & (size - 1):
             raise BadDims(f"size must be a power of two >= 8, got {size}")
         if blur_size % 2 == 0 or blur_size < 1:
             raise BadDims("blur_size must be odd and positive")
@@ -60,10 +56,7 @@ class DeblurConfig:
             else (2 if size <= 64 else 4)
 
     def as_dict(self):
-        return dict(size=self.size, blur_size=self.blur_size,
-                    snr_db=self.snr_db, alpha_tv=self.alpha_tv,
-                    beta_wav=self.beta_wav, seed=self.seed,
-                    haar_levels=self.haar_levels)
+        return dict(vars(self))
 
 
 class LassoConfig:
@@ -81,8 +74,7 @@ class LassoConfig:
         self.seed = int(seed)
 
     def as_dict(self):
-        return dict(n=self.n, d=self.d, nnz=self.nnz,
-                    noise_std=self.noise_std, beta=self.beta, seed=self.seed)
+        return dict(vars(self))
 
 
 def phantom(rows, cols, seed=0):

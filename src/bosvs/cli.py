@@ -57,6 +57,12 @@ def _add_common(sp, rho_default=None, tol_default=None):
                     default='adaptive')
 
 
+def _last(result, what):
+    if not result.trace:
+        raise SolverError(f"{what} ended ({result.reason}) before iteration 1")
+    return result.trace[-1]
+
+
 def _cmd_solve(args):
     p = load_problem(args.problem)
     result = solve(p, _build_params(args, args.scheme),
@@ -65,7 +71,7 @@ def _cmd_solve(args):
         write_trace_csv(result.trace, args.trace, p.m)
     if args.summary:
         write_summary(result, args.summary, extra={'scheme': args.scheme})
-    last = result.trace[-1]
+    last = _last(result, args.scheme)
     print(f"{args.scheme}: k={last.k} objective={last.objective:.9e} "
           f"e={last.e_k:.3e} ({result.reason})")
     return 0 if result.converged else 2
@@ -93,9 +99,9 @@ def _cmd_bench_deblur(args):
                        alpha_tv=args.alpha_tv, beta_wav=args.beta_wav,
                        seed=args.seed, haar_levels=args.haar_levels)
     p = make_deblur(cfg)
-    ref_rho = args.ref_rho if args.ref_rho is not None else args.rho
-    phi_star, _ = refsolve(p, ref_rho, args.alpha)
-    return _bench_run_matrix(p, args, phi_star)
+    ref = refsolve(p, args.rho if args.ref_rho is None else args.ref_rho,
+                   args.alpha)[1]
+    return _bench_run_matrix(p, args, _last(ref, 'reference run').objective)
 
 
 def _cmd_bench_lasso(args):
@@ -122,8 +128,8 @@ def _cmd_refsolve(args):
         with open(args.summary, 'w') as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write('\n')
-    print(f"phi_star={phi_star:.9e} after {result.iterations} iterations "
-          f"({result.reason})")
+    print(f"phi_star={_last(result, 'refsolve').objective:.9e} after "
+          f"{result.iterations} iterations ({result.reason})")
     # 'callback' is the stable-digits rule that ends a complete reference run
     return 0 if result.reason in ('callback', 'converged') else 2
 

@@ -121,35 +121,42 @@ class BlockState:
         self.delta_min = float(delta_min)
         self.Gamma_prev = 0.0
         self.l_prev = 1
-        self._memo = []               # [point, f(point), grad f(point)]
+        self._memo = []   # [point, f(point), grad f(point), residual]
 
-    def _memoized(self, u, slot, fn):
+    def _entry(self, u):
+        for e in self._memo:
+            if e[0] is u:
+                return e
+        return None
+
+    def _memoized(self, f, u, slot, fn):
         """Points match by identity (iterates are rebound, never written in
         place). An entry lives while its point is x or x_prev or is the
         newest, so the BB seed at x^k reuses iteration k-1's gradient at
-        x^{k-1}, and a step from an accepted trial point reuses f there."""
-        for e in self._memo:
-            if e[0] is u:
-                break
-        else:
-            e = [u, None, None]
+        x^{k-1}, and a step from an accepted trial point reuses f there.
+        A part with a ``residual`` hook takes it once per point."""
+        e = self._entry(u)
+        if e is None:
+            e = [u, None, None, None]
             self._memo = [d for d in self._memo
                           if d[0] is self.x or d[0] is self.x_prev] + [e]
         if e[slot] is None:
-            e[slot] = fn(u)
+            if f.residual is not None and e[3] is None:
+                e[3] = f.residual(u)
+            e[slot] = fn(u) if e[3] is None else fn(u, e[3])
         return e[slot]
 
     def value(self, f, u):
         """f(u), memoized with grad f(u)."""
-        return self._memoized(u, 1, f.value)
+        return self._memoized(f, u, 1, f.value)
 
     def gradient(self, f, u):
         """grad f(u), memoized with f(u)."""
-        return self._memoized(u, 2, f.gradient)
+        return self._memoized(f, u, 2, f.gradient)
 
     def known_value(self, u):
         """f(u) if the memo holds it, else None; never evaluates f."""
-        return next((fu for pt, fu, _ in self._memo if pt is u), None)
+        return (self._entry(u) or (None, None))[1]
 
 
 class BlockWorkspace:

@@ -21,8 +21,8 @@ import time
 
 import numpy as np
 
-from .errors import (DimensionMismatch, InnerIterationCap, MaxItersReached,
-                     MissingReference, NegativeR)
+from .errors import (DimensionMismatch, InnerIterationCap, LineSearchDiverged,
+                     MaxItersReached, MissingReference, NegativeR)
 from .inner import (ACCEL_SCHEDULES, BlockState, BlockWorkspace, InnerContext,
                     LineSearchParams, RelaxationParams, accelerated_loop,
                     exact_block_solve, generalized_step, multistep_loop)
@@ -332,8 +332,9 @@ def solve(p, params, x0=None, lam0=None, callbacks=None,
     Returns a SolveResult whose ``solution`` is the final z iterate.
     Callbacks receive (state, record) after every iteration; a truthy
     return stops the run with reason 'callback'. An inner loop that hits
-    its cap ends the run with reason 'stagnated' and the iterates of the
-    last completed iteration.
+    its cap ends it as 'stagnated', a line search that gives up (as on
+    non-finite values) as 'diverged'; both keep the iterates of the last
+    completed iteration. The other reasons are 'converged' and 'max_iters'.
     Raises MaxItersReached (result attached) when the budget is exhausted
     and raise_on_maxiter is set.
     """
@@ -352,8 +353,9 @@ def solve(p, params, x0=None, lam0=None, callbacks=None,
     for _ in range(params.max_outer_iters):
         try:
             s, rec = outer_step(p, s, params, bs, workspaces, t0)
-        except InnerIterationCap:
-            reason = 'stagnated'
+        except (InnerIterationCap, LineSearchDiverged) as exc:
+            reason = 'stagnated' if isinstance(exc, InnerIterationCap) \
+                else 'diverged'
             break
         trace.append(rec)
         if stop_tol is None:

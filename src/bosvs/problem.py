@@ -27,11 +27,13 @@ class SmoothPart:
     searches adapt). ``hess_apply`` is optional and, when present, must
     be the state-independent Hessian action of a quadratic; ``hess_gram(n)``
     gives it as a cheap ``linops`` Gram value on R^n, or None. ``dim`` is
-    the input length, if fixed.
+    the input length, if fixed. The optional ``residual(x)`` gives an r that
+    ``value(x, r)`` and ``gradient(x, r)`` accept in place of recomputing it.
     """
 
     lipschitz = None
     hess_apply = None
+    residual = None
     is_zero = False
     hess_gram = None
     dim = None
@@ -162,12 +164,9 @@ def b_i_k(p, i, z, y):
     z = p.check_vector(z)
     y = p.check_vector(y)
     out = p.b.copy()
-    for j in range(i):
-        sl = p.block_slice(j)
-        out -= p.blocks[j].A.apply(z[sl])
-    for j in range(i + 1, p.m):
-        sl = p.block_slice(j)
-        out -= p.blocks[j].A.apply(y[sl])
+    for j in range(p.m):
+        if j != i:
+            out -= p.blocks[j].A.apply((z if j < i else y)[p.block_slice(j)])
     return out
 
 

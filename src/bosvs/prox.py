@@ -144,10 +144,12 @@ class ZeroSmooth(SmoothPart):
 class QuadraticLS(SmoothPart):
     """f(u) = 0.5 * ||F u - data||^2 for a LinOp F.
 
-    The gradient is F^T (F u - data). ``hess_gram`` is the Hessian F^T F
-    as a Gram value if F is dense or has a structured ``self_gram``, else
-    None (a matrix-free F is never materialized). ``lipschitz`` is the
-    largest eigenvalue of F^T F (power iteration on first use) unless given.
+    The gradient is F^T (F u - data). ``residual(u)`` is F u - data; given
+    it, ``value`` and ``gradient`` skip their F apply. ``hess_gram`` is the
+    Hessian F^T F as a Gram value if F is dense or has a structured
+    ``self_gram``, else None (a matrix-free F is never materialized).
+    ``lipschitz`` is the largest eigenvalue of F^T F (power iteration on
+    first use) unless given.
     """
 
     def __init__(self, F, data, lipschitz=None):
@@ -158,12 +160,16 @@ class QuadraticLS(SmoothPart):
                 f"data length {self.data.size} != operator rows {F.rows}")
         self._lipschitz = None if lipschitz is None else float(lipschitz)
 
-    def value(self, x):
-        r = self.F.apply(x) - self.data
+    def residual(self, x):
+        return self.F.apply(x) - self.data
+
+    def value(self, x, r=None):
+        r = self.F.apply(x) - self.data if r is None else r
         return 0.5 * float(r @ r)
 
-    def gradient(self, x):
-        return self.F.apply_adjoint(self.F.apply(x) - self.data)
+    def gradient(self, x, r=None):
+        r = self.F.apply(x) - self.data if r is None else r
+        return self.F.apply_adjoint(r)
 
     def hess_apply(self, v):
         return self.F.apply_adjoint(self.F.apply(v))

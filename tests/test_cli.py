@@ -214,6 +214,23 @@ def test_solve_stagnation_exit_code(tmp_path):
     assert 'Traceback' not in proc.stderr
 
 
+def test_runs_ending_before_their_first_iteration(tmp_path):
+    # one NaN in the data: every line search gives up in iteration 1
+    p = bench.make_lasso(bench.LassoConfig(n=20, d=30, seed=0))
+    p.blocks[0].f.data[3] = np.nan
+    path = str(tmp_path / 'nan.json')
+    problem_io.save_problem(p, path)
+    for args in (['solve', '--problem', path, '--scheme', 'generalized',
+                  '--rho', '1.0'],
+                 ['refsolve', '--problem', path, '--rho', '1.0'],
+                 ['bench', 'deblur', '--size', '8', '--snr', 'nan',
+                  '--out', str(tmp_path / 'out')]):
+        proc = run_cli(args)
+        assert proc.returncode in (1, 2), args
+        assert 'Traceback' not in proc.stderr, args
+        assert 'diverged' in proc.stderr, args
+
+
 def test_bench_deblur_default_tol_is_reachable(tmp_path):
     out = str(tmp_path / 'out')
     proc = run_cli(['bench', 'deblur', '--size', '8', '--scheme',

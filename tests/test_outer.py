@@ -196,9 +196,9 @@ def test_bb_seed_reuses_the_previous_gradient(monkeypatch):
     calls = []
     gradient = prox.QuadraticLS.gradient
 
-    def counting_gradient(f, x):
+    def counting_gradient(f, x, *r):
         calls.append(1)
-        return gradient(f, x)
+        return gradient(f, x, *r)
 
     monkeypatch.setattr(prox.QuadraticLS, 'gradient', counting_gradient)
     for scheme in ('generalized', 'multistep'):
@@ -216,10 +216,10 @@ def repeated_points(monkeypatch, method, solve):
     orig = getattr(prox.QuadraticLS, method)
     objective = outer.objective
 
-    def counting(f, x):
+    def counting(f, x, *r):
         if not in_objective:
             seen.append(x.tobytes())
-        return orig(f, x)
+        return orig(f, x, *r)
 
     def flagged_objective(p, z, *known):
         in_objective.append(True)
@@ -266,9 +266,9 @@ def test_trace_objective_reuses_the_line_search_f(monkeypatch, scheme):
     value = prox.QuadraticLS.value
     objective = outer.objective
 
-    def counting(f, x):
+    def counting(f, x, *r):
         calls.append(1)
-        return value(f, x)
+        return value(f, x, *r)
 
     monkeypatch.setattr(prox.QuadraticLS, 'value', counting)
     runs = []
@@ -307,6 +307,89 @@ def test_inner_iteration_cap_ends_the_run_as_stagnated():
     assert res.trace[-1].e_k < 1e-12
     for got, want in zip((res.x, res.y, res.z, res.lam), last[-1]):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize('scheme', ['generalized', 'multistep',
+                                    'accelerated'])
+def test_line_search_failure_ends_the_run_as_diverged(scheme):
+    # with one NaN in the data every trial compares against a NaN f
+    p = bench.make_lasso(bench.LassoConfig(n=20, d=30, seed=0))
+    p.blocks[0].f.data[3] = np.nan
+    res = outer.solve(p, outer.OuterParams(rho=1.0, scheme=scheme))
+    assert res.reason == 'diverged' and not res.converged
+    assert res.iterations == 0 and res.final_objective is None
+
+
+def test_diverged_run_keeps_the_last_completed_iterates():
+    p = bench.make_lasso(bench.LassoConfig(n=20, d=30, seed=0))
+    last = []
+
+    def poison_after_three(s, rec):
+        last.append((s.x.copy(), s.y.copy(), s.z.copy(), s.lam.copy()))
+        if rec.k == 3:
+            p.blocks[0].f.data[3] = np.nan
+
+    res = outer.solve(p, outer.OuterParams(rho=1.0, scheme='generalized',
+                                           stop_tol=0.0),
+                      callbacks=[poison_after_three])
+    assert res.reason == 'diverged' and res.iterations == len(last) == 3
+    for got, want in zip((res.x, res.y, res.z, res.lam), last[-1]):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize('family', ['lasso', 'deblur'])
+def test_residual_reuse_keeps_traces_bitwise(monkeypatch, family):
+    # value and gradient at one point share F u - data through the block
+    # memo; without the hook each recomputes it, with the same bits
+    if family == 'lasso':
+        p, rho, tol = bench.make_lasso(bench.LassoConfig(seed=0)), 1.0, None
+    else:
+        p, rho, tol = (bench.make_deblur(bench.DeblurConfig(size=8)), 5e-4,
+                       1e-3)
+
+    def run(scheme):
+        res = outer.solve(p, outer.OuterParams(rho=rho, scheme=scheme,
+                                               stop_tol=tol))
+        assert res.iterations > 10
+        return ([(r.objective, r.e_k, r.primal_res, r.deltas, r.inner_iters)
+                 for r in res.trace], res.solution.tobytes())
+
+    for scheme in ('generalized', 'multistep', 'accelerated'):
+        reused = run(scheme)
+        with monkeypatch.context() as m:
+            m.setattr(prox.QuadraticLS, 'residual', None)
+            assert run(scheme) == reused, scheme
+
+
+def test_multistep_applies_f_once_per_point(monkeypatch):
+    p = bench.make_lasso(bench.LassoConfig(seed=0))
+    params = outer.OuterParams(rho=1.0, scheme='multistep')
+    applies, points = [], []
+    apply = linops.DenseOp.apply
+
+    def counting_apply(op, v):
+        applies.append(1)
+        return apply(op, v)
+
+    def recording(orig):
+        def record(f, x, *r):
+            points.append(x)    # kept alive, so ids stay distinct
+            return orig(f, x, *r)
+        return record
+
+    monkeypatch.setattr(linops.DenseOp, 'apply', counting_apply)
+    for method in ('value', 'gradient'):
+        monkeypatch.setattr(prox.QuadraticLS, method,
+                            recording(getattr(prox.QuadraticLS, method)))
+    outer.solve(p, params)
+    distinct = len({id(x) for x in points})
+    assert len(applies) == distinct
+    # without the residual hook every value and gradient applies F
+    monkeypatch.setattr(prox.QuadraticLS, 'residual', None)
+    applies.clear()
+    points.clear()
+    outer.solve(p, params)
+    assert len(applies) == len(points) > 1.9 * distinct
 
 
 def test_solve_converges_on_easy_problem():

@@ -156,6 +156,11 @@ def test_quadratic_ls_parts():
     assert abs(f.value(x) - want_val) <= 1e-12 * (1.0 + abs(want_val))
     assert np.allclose(f.gradient(x), a.T @ (a @ x - data), atol=1e-12)
     assert np.allclose(f.hess_apply(x), a.T @ (a @ x), atol=1e-12)
+    r = f.residual(x)
+    assert np.allclose(r, a @ x - data, atol=1e-12)
+    assert f.value(x, r) == f.value(x)
+    assert np.array_equal(f.gradient(x, r), f.gradient(x))
+    assert ZeroSmooth.residual is None
     lam_max = float(np.linalg.eigvalsh(a.T @ a)[-1])
     assert abs(f.lipschitz - lam_max) <= 1e-8 * lam_max
     assert not f.is_zero
