@@ -17,12 +17,12 @@ from .inner import (BlockState, BlockWorkspace, InnerContext, InnerResult,
 from .linops import (BlurOperator, DenseOp, DiffOperator, HaarTransform,
                      IdentityOp, LinOp, NegIdentityOp, ScaledIdentityOp,
                      VStackOp, ZeroOp, assemble_back_sub, back_substitute,
-                     gram, smallest_gram_eigenvalue)
+                     gram)
 from .outer import (OuterParams, OuterState, SolveResult, TraceRecord,
                     energy_E, error_measure, outer_step, solve,
                     write_summary, write_trace_csv)
-from .problem import (Block, KKTReport, L_i_k, Problem, augmented_lagrangian,
-                      b_i_k, kkt_residual, objective, phi_i_k)
+from .problem import (Block, KKTReport, L_i_k, Problem, b_i_k, kkt_residual,
+                      objective, phi_i_k)
 from .problem_io import load_problem, save_problem
 from .prox import (BoxIndicator, GroupL2, QuadraticLS, ScaledL1, ZeroProx,
                    ZeroSmooth, box_clamp, group_shrink, soft_threshold)
@@ -35,10 +35,9 @@ __all__ = [
     'LinOp', 'DenseOp', 'ScaledIdentityOp', 'IdentityOp', 'NegIdentityOp',
     'ZeroOp', 'VStackOp', 'HaarTransform', 'DiffOperator', 'BlurOperator',
     'gram', 'assemble_back_sub', 'back_substitute',
-    'smallest_gram_eigenvalue',
     # problem
-    'Problem', 'Block', 'KKTReport', 'objective', 'augmented_lagrangian',
-    'b_i_k', 'phi_i_k', 'L_i_k', 'kkt_residual',
+    'Problem', 'Block', 'KKTReport', 'objective', 'b_i_k', 'phi_i_k',
+    'L_i_k', 'kkt_residual',
     'load_problem', 'save_problem',
     # prox and parts
     'soft_threshold', 'group_shrink', 'box_clamp', 'ScaledL1', 'GroupL2',

@@ -36,6 +36,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 from . import linops
 from .errors import (CGNotConverged, InnerIterationCap, LineSearchDiverged,
                      MissingLipschitz, UnsupportedSubproblem)
+from .problem import Block
 
 __all__ = ['LineSearchParams', 'RelaxationParams', 'InnerResult',
            'BlockState', 'BlockWorkspace', 'InnerContext', 'RunningAverage',
@@ -121,6 +122,7 @@ class BlockState:
         self.delta_min = float(delta_min)
         self.Gamma_prev = 0.0
         self.l_prev = 1
+        self.basis = None             # Q of x's working basis, if any
         self._memo = []   # [point, f(point), grad f(point), residual]
 
     def _entry(self, u):
@@ -161,15 +163,36 @@ class BlockState:
 
 class BlockWorkspace:
     """One block's Gram value A^T A (``linops.gram``, unless the caller
-    already holds it), shared by every subproblem solve of the block."""
+    already holds it), shared by every subproblem solve of the block.
 
-    def __init__(self, A, gram=None):
-        self._gram = linops.gram(A, A) if gram is None else gram
-        self._system = None
+    Given the block, it runs it in the basis v = Q u when h = 0, the Gram
+    is ``linops.Diagonalized`` Q^T diag Q and ``f.in_basis`` has a form
+    there: ``block`` is then the block in v (else None), the Gram a
+    ``DiagonalOp``, and ``to_basis``/``from_basis`` apply Q/Q^T.
+    """
+
+    def __init__(self, A, gram=None, block=None):
+        g = self._gram = linops.gram(A, A) if gram is None else gram
+        self._system = self.block = None
+        self.to_basis = self.from_basis = np.asarray
+        fb = block.f.in_basis(g) if block is not None and block.f.in_basis \
+            and isinstance(g, linops.Diagonalized) \
+            and getattr(block.h, 'is_zero', False) else None
+        if fb is not None:
+            self.block = Block(A, fb, block.h)
+            self._gram = linops.DiagonalOp(g.eig)
+            self.to_basis, self.from_basis = g.forward, g.inverse
+
+    def adopt(self, bst):
+        """Move a block state's iterates into the working basis, once."""
+        if self.block is not None and bst.basis is not self.to_basis:
+            bst.x, bst.x_prev = (None if v is None else self.to_basis(v)
+                                 for v in (bst.x, bst.x_prev))
+            bst.basis, bst._memo = self.to_basis, []
 
     def gram_basis(self):
         """The Gram value: a ``ZeroOp``, ``ScaledIdentityOp``,
-        ``Diagonalized`` or ``DenseOp`` of ``linops``."""
+        ``Diagonalized``, ``DiagonalOp`` or ``DenseOp`` of ``linops``."""
         return self._gram
 
     def identity_multiple(self):
@@ -209,14 +232,17 @@ class InnerContext:
         self.k = int(k)
         self.workspace = workspace if workspace is not None \
             else BlockWorkspace(p.blocks[i].A)
+        self.block = self.workspace.block or p.blocks[i]
         # penalty center: rho/2 ||A u - c_vec||^2 with c_vec = b_ik - lam/rho
         self.c_vec = b_ik - lam / rho
-        self.block = p.blocks[i]
         self._atc = None
 
     def adjoint_c(self):
+        """(A^T c_vec, rho A^T c_vec) in the workspace's coordinates."""
         if self._atc is None:
-            self._atc = self.block.A.apply_adjoint(self.c_vec)
+            atc = self.workspace.to_basis(
+                self.block.A.apply_adjoint(self.c_vec))
+            self._atc = (atc, self.rho * atc)
         return self._atc
 
 
@@ -247,7 +273,7 @@ def _composite_argmin(ctx, grad_vec, center, delta):
     """argmin <g, u> + (delta/2)||u - center||^2 + h(u)
     + (rho/2)||A u - c_vec||^2 over the solvable classes."""
     rho = ctx.rho
-    rhs = delta * center - grad_vec + rho * ctx.adjoint_c()
+    rhs = delta * center - grad_vec + ctx.adjoint_c()[1]
     if getattr(ctx.block.h, 'is_zero', False):
         return ctx.workspace.solve_shifted(delta, rho, rhs)
     c = ctx.workspace.identity_multiple()
@@ -475,7 +501,7 @@ def exact_block_solve(ctx, bst, cg_tol=1e-6, cg_maxit=100000):
     n = ctx.block.dim
     if getattr(h, 'is_zero', False):
         solve, g0 = ctx.workspace.system(f, rho)
-        rhs = rho * ctx.adjoint_c() - g0
+        rhs = ctx.adjoint_c()[1] - g0
         if solve is not None:
             u = solve(rhs)
             return InnerResult(u, u, 0.0, np.inf, 1, np.nan)
@@ -494,6 +520,6 @@ def exact_block_solve(ctx, bst, cg_tol=1e-6, cg_maxit=100000):
         return InnerResult(u, u, 0.0, np.inf, max(len(iters), 1), np.nan)
     c = ctx.workspace.identity_multiple()
     if c is not None and c > 0.0 and getattr(f, 'is_zero', False):
-        u = h.prox(ctx.adjoint_c() / c, 1.0 / (rho * c))
+        u = h.prox(ctx.adjoint_c()[0] / c, 1.0 / (rho * c))
         return InnerResult(u, u, 0.0, np.inf, 1, np.nan)
     raise UnsupportedSubproblem(ctx.i + 1)

@@ -12,6 +12,11 @@ orthonormal transform (the DCT-II for differences and symmetric 3x3
 blurs) or the ``DenseOp`` fallback. These four also solve their shifted
 systems (``solve_shifted``) and report their spectrum (``eig_bounds``).
 Stacks sum their part Grams structurally, so they are never materialized.
+``DiagonalOp`` is ``Diagonalized`` on the identity basis. A block with
+h = 0, a ``Diagonalized`` Gram and a smooth part that is zero or has its
+``F`` diagonal on the same basis runs in that basis, where its Gram and
+``F`` are ``DiagonalOp`` (``inner.BlockWorkspace``); a c I or dense Gram,
+a nonzero h or an ``F`` without ``diagonalized`` (a 5x5 blur) does not.
 ``assemble_back_sub`` collects these values into the lower
 block-triangular M of blocks 2..m, whose diagonal blocks form H, and
 checks each for full rank; ``back_substitute`` applies the correction
@@ -29,8 +34,8 @@ from .errors import BadDims, DimensionMismatch, RankDeficient
 
 __all__ = ['LinOp', 'DenseOp', 'ScaledIdentityOp', 'IdentityOp', 'NegIdentityOp',
            'ZeroOp', 'VStackOp', 'HaarTransform', 'DiffOperator', 'BlurOperator',
-           'Diagonalized', 'gram', 'identity_multiple', 'assemble_back_sub',
-           'back_substitute', 'smallest_gram_eigenvalue', 'BackSubMatrices',
+           'Diagonalized', 'DiagonalOp', 'gram', 'identity_multiple',
+           'assemble_back_sub', 'back_substitute', 'BackSubMatrices',
            'direct_solver']
 
 
@@ -400,10 +405,10 @@ class BlurOperator(LinOp):
     def to_dense(self):
         return self._mat.toarray()
 
-    def self_gram(self):
-        """F^T F in the DCT-II basis for a kernel symmetric in both axes
-        with half-width <= 1 (clipping is then half-sample reflection),
-        else None. F's eigenvalues are fwd(F e_0) / fwd(e_0)."""
+    def diagonalized(self):
+        """F as Q^T diag(eig_F) Q in the DCT-II basis when the kernel is
+        symmetric in both axes with half-width <= 1 (clipping is then
+        half-sample reflection), else None; eig_F = fwd(F e_0) / fwd(e_0)."""
         k = self.kernel
         if max(k.shape) > 3 or not (np.array_equal(k, k[::-1])
                                     and np.array_equal(k, k[:, ::-1])):
@@ -411,7 +416,13 @@ class BlurOperator(LinOp):
         fwd, inv = _dct_basis(self.imrows, self.imcols)
         e0 = np.zeros(self.cols)
         e0[0] = 1.0
-        return Diagonalized((fwd(self.apply(e0)) / fwd(e0)) ** 2, fwd, inv)
+        return Diagonalized(fwd(self.apply(e0)) / fwd(e0), fwd, inv)
+
+    def self_gram(self):
+        """F^T F = Q^T diag(eig_F^2) Q, or None without ``diagonalized``."""
+        d = self.diagonalized()
+        return None if d is None else Diagonalized(d.eig ** 2, d.forward,
+                                                   d.inverse)
 
 
 class Diagonalized(LinOp):
@@ -433,6 +444,17 @@ class Diagonalized(LinOp):
 
     def eig_bounds(self):
         return float(self.eig.min()), float(self.eig.max())
+
+
+class DiagonalOp(Diagonalized):
+    """diag(eig): ``Diagonalized`` on the identity basis (``np.asarray``),
+    so every product and shifted solve is elementwise."""
+
+    def __init__(self, eig):
+        super().__init__(eig, np.asarray, np.asarray)
+
+    def self_gram(self):
+        return DiagonalOp(self.eig ** 2)
 
 
 def _from_array(g, tol=1e-12):
@@ -599,8 +621,3 @@ def back_substitute(bs, y_plus, z_plus, alpha):
             acc = acc - term
         u[i] = bs.mblocks[i][i].solve_shifted(0.0, 1.0, acc)
     return y_plus + alpha * _cat(u)
-
-
-def smallest_gram_eigenvalue(a):
-    """Smallest eigenvalue of A^T A, clamped at zero."""
-    return max(gram(a, a).eig_bounds()[0], 0.0)

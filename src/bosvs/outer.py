@@ -249,10 +249,17 @@ def energy_E(p, state, rho, alpha, reference, bs, mode='multistep'):
     return float(out)
 
 
-def _dispatch_block(p, i, s, params, workspaces, b_ik):
+def _workspaces(p, bs):
+    # blocks 2..m reuse the self-Grams back substitution already built
+    grams = [None] + [row[-1] for row in bs.mblocks]
+    return [BlockWorkspace(blk.A, g, blk) for blk, g in zip(p.blocks, grams)]
+
+
+def _dispatch_block(p, i, s, params, ws, b_ik):
     bst = s.bstates[i]
+    ws.adopt(bst)
     ctx = InnerContext(p, i, b_ik, s.lam, params.rho, params.ls, params.relax,
-                       s.k, workspaces[i])
+                       s.k, ws)
     if params.scheme == 'generalized':
         return generalized_step(ctx, bst)
     if params.scheme == 'multistep':
@@ -271,25 +278,32 @@ def outer_step(p, s, params, bs, workspaces=None, t0=None):
     b_ik and A z - b are summed in the order of ``problem.b_i_k`` and
     ``Problem.apply_A``. Block states carry x_i between iterations, so
     their f and grad f memos keep matching; the trace objective reads f_i
-    at z_i from the memo when a line search took it.
+    at z_i from the memo when a line search took it. A block run in a
+    working basis returns z_i and x_i^{k+1} in it; they are mapped out
+    here, and f_i(z_i) is taken there, elementwise, when the memo lacks it.
     """
     if workspaces is None:
-        workspaces = [BlockWorkspace(blk.A) for blk in p.blocks]
+        workspaces = _workspaces(p, bs)
     if t0 is None:
         t0 = time.perf_counter()
     m = p.m
     z = np.zeros(p.n)
     prods = [None] + [p.blocks[j].A.apply(s.y[p.block_slice(j)])
                       for j in range(1, m)]
-    results = []
+    results, x_next, f_known = [], [], []
     for i in range(m):
         sl = p.block_slice(i)
-        bst = s.bstates[i]
+        bst, ws = s.bstates[i], workspaces[i]
         b_ik = p.b.copy()
         for q in prods[:i] + prods[i + 1:]:
             b_ik -= q
-        res = _dispatch_block(p, i, s, params, workspaces, b_ik)
-        z[sl] = res.z
+        res = _dispatch_block(p, i, s, params, ws, b_ik)
+        z[sl] = ws.from_basis(res.z)
+        x_next.append(z[sl] if res.x_next is res.z
+                      else ws.from_basis(res.x_next))
+        fz = bst.known_value(res.z)
+        f_known.append(fz if fz is not None or ws.block is None
+                       else ws.block.f.value(res.z))
         prods[i] = p.blocks[i].A.apply(z[sl])
         results.append(res)
         # roll the per-block bookkeeping forward
@@ -306,7 +320,6 @@ def outer_step(p, s, params, bs, workspaces=None, t0=None):
             else 'multistep'
         E = energy_E(p, s, params.rho, params.alpha, params.reference,
                      bs, mode)
-    f_known = [b.known_value(r.z) for b, r in zip(s.bstates, results)]
     rec = TraceRecord(s.k, time.perf_counter() - t0, objective(p, z, f_known),
                       e, np.linalg.norm(primal_vec), E,
                       [res.inner_iters for res in results], s.deltas,
@@ -317,7 +330,7 @@ def outer_step(p, s, params, bs, workspaces=None, t0=None):
     y_new[:off1] = z[:off1]
     y_new[off1:] = back_substitute(bs, s.y[off1:], z[off1:], params.alpha)
     s.lam = s.lam + params.alpha * params.rho * primal_vec
-    s.x = np.concatenate([res.x_next for res in results])
+    s.x = np.concatenate(x_next)
     s.y = y_new
     s.z = z
     s.e_prev = e
@@ -332,17 +345,15 @@ def solve(p, params, x0=None, lam0=None, callbacks=None,
     Returns a SolveResult whose ``solution`` is the final z iterate.
     Callbacks receive (state, record) after every iteration; a truthy
     return stops the run with reason 'callback'. An inner loop that hits
-    its cap ends it as 'stagnated', a line search that gives up (as on
-    non-finite values) as 'diverged'; both keep the iterates of the last
-    completed iteration. The other reasons are 'converged' and 'max_iters'.
+    its cap ends it as 'stagnated'; a line search that gives up or an e^k
+    that is not finite (non-finite values) as 'diverged'. Both keep the
+    iterates of the last completed iteration, whose record ends the trace.
+    The other reasons are 'converged' and 'max_iters'.
     Raises MaxItersReached (result attached) when the budget is exhausted
     and raise_on_maxiter is set.
     """
     bs = assemble_back_sub([blk.A for blk in p.blocks[1:]])
-    # blocks 2..m reuse the self-Grams back substitution already built
-    workspaces = [BlockWorkspace(p.blocks[0].A)] + [
-        BlockWorkspace(blk.A, row[-1])
-        for blk, row in zip(p.blocks[1:], bs.mblocks)]
+    workspaces = _workspaces(p, bs)
     s = OuterState(p, params, x0, lam0)
     callbacks = list(callbacks or [])
     trace = []
@@ -351,11 +362,16 @@ def solve(p, params, x0=None, lam0=None, callbacks=None,
     converged = False
     t0 = time.perf_counter()
     for _ in range(params.max_outer_iters):
+        last = (s.x, s.y, s.z, s.lam)
         try:
             s, rec = outer_step(p, s, params, bs, workspaces, t0)
         except (InnerIterationCap, LineSearchDiverged) as exc:
             reason = 'stagnated' if isinstance(exc, InnerIterationCap) \
                 else 'diverged'
+            break
+        if not np.isfinite(rec.e_k):
+            s.x, s.y, s.z, s.lam = last
+            reason = 'diverged'
             break
         trace.append(rec)
         if stop_tol is None:

@@ -5,10 +5,9 @@ convex part f_i (gradient available) and a nonsmooth convex part h_i
 (prox available, value may be +inf), tied by sum_i A_i x_i = b. Block
 vectors are stored as one contiguous array with an offset table.
 
-The module-level functions evaluate the objective, the augmented
-Lagrangian, the per-block linearized subproblem objective Phi_i, the
-exact subproblem objective L_i, the partial right-hand sides b_i, and a
-KKT residual report.
+The module-level functions evaluate the objective, the per-block
+linearized subproblem objective Phi_i, the exact subproblem objective
+L_i, the partial right-hand sides b_i, and a KKT residual report.
 """
 
 import numpy as np
@@ -16,7 +15,7 @@ import numpy as np
 from .errors import DimensionMismatch
 
 __all__ = ['SmoothPart', 'NonsmoothPart', 'Block', 'Problem', 'KKTReport',
-           'objective', 'augmented_lagrangian', 'b_i_k', 'phi_i_k', 'L_i_k',
+           'objective', 'b_i_k', 'phi_i_k', 'L_i_k',
            'kkt_residual']
 
 
@@ -29,11 +28,14 @@ class SmoothPart:
     gives it as a cheap ``linops`` Gram value on R^n, or None. ``dim`` is
     the input length, if fixed. The optional ``residual(x)`` gives an r that
     ``value(x, r)`` and ``gradient(x, r)`` accept in place of recomputing it.
+    ``in_basis(g)``, if set, is the part in the coordinates Q u of a
+    ``linops.Diagonalized`` g, or None when it has no cheap form there.
     """
 
     lipschitz = None
     hess_apply = None
     residual = None
+    in_basis = None
     is_zero = False
     hess_gram = None
     dim = None
@@ -140,18 +142,6 @@ def objective(p, x, f_known=None):
             return np.inf
         total += hv
     return float(total)
-
-
-def augmented_lagrangian(p, x, lam, rho):
-    """Phi(x) + <lam, Ax - b> + (rho/2) ||Ax - b||^2."""
-    lam = np.asarray(lam, dtype=float).ravel()
-    if lam.size != p.rows:
-        raise DimensionMismatch("multiplier length mismatch")
-    r = p.apply_A(x) - p.b
-    phi = objective(p, x)
-    if phi == np.inf:
-        return np.inf
-    return phi + float(lam @ r) + 0.5 * rho * float(r @ r)
 
 
 def b_i_k(p, i, z, y):

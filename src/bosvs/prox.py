@@ -140,6 +140,9 @@ class ZeroSmooth(SmoothPart):
     def hess_gram(self, n):
         return linops.ZeroOp(n, n)
 
+    def in_basis(self, g):
+        return self
+
 
 class QuadraticLS(SmoothPart):
     """f(u) = 0.5 * ||F u - data||^2 for a LinOp F.
@@ -182,6 +185,15 @@ class QuadraticLS(SmoothPart):
         if isinstance(self.F, linops.DenseOp):
             return linops.gram(self.F, self.F)
         return getattr(self.F, 'self_gram', lambda: None)()
+
+    def in_basis(self, g):
+        """0.5 ||eig_F v - Q data||^2, this part in the coordinates v = Q u
+        of the ``Diagonalized`` g, if F is diagonal on g's basis; else None."""
+        d = getattr(self.F, 'diagonalized', lambda: None)()
+        if d is None or d.forward is not g.forward:
+            return None
+        return QuadraticLS(linops.DiagonalOp(d.eig), g.forward(self.data),
+                           float(np.max(d.eig ** 2)))
 
     @property
     def lipschitz(self):

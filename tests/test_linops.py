@@ -6,11 +6,17 @@ from scipy import ndimage
 
 from bosvs import bench
 from bosvs.errors import BadDims, DimensionMismatch, RankDeficient
-from bosvs.linops import (BlurOperator, DenseOp, Diagonalized, DiffOperator,
-                          HaarTransform, IdentityOp, NegIdentityOp,
+from bosvs import linops
+from bosvs.linops import (BlurOperator, DenseOp, DiagonalOp, Diagonalized,
+                          DiffOperator, HaarTransform, IdentityOp, NegIdentityOp,
                           ScaledIdentityOp, VStackOp, ZeroOp,
                           assemble_back_sub, back_substitute, gram,
-                          identity_multiple, smallest_gram_eigenvalue)
+                          identity_multiple)
+
+
+def smallest_gram_eigenvalue(a):
+    """Smallest eigenvalue of A^T A, clamped at zero (reference form)."""
+    return max(gram(a, a).eig_bounds()[0], 0.0)
 
 
 def adjoint_gap(op, rng, trials=5):
@@ -165,6 +171,37 @@ def test_blur_self_gram_is_diagonal_in_the_dct_basis():
     asym[0, 0] = 0.0
     assert BlurOperator.uniform(8, 8, 5).self_gram() is None
     assert BlurOperator(8, 8, asym).self_gram() is None
+
+
+def test_blur_diagonalized_is_F_in_the_dct_basis():
+    sym = np.array([[0.05, 0.1, 0.05], [0.1, 0.4, 0.1], [0.05, 0.1, 0.05]])
+    for op in (BlurOperator.uniform(8, 8, 3), BlurOperator(8, 12, sym)):
+        d = op.diagonalized()
+        want = op.to_dense()
+        got = np.column_stack([d.apply(e) for e in np.eye(op.cols)])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(op.self_gram().eig, d.eig ** 2)
+        assert d.forward is op.self_gram().forward
+    assert BlurOperator.uniform(8, 8, 5).diagonalized() is None
+
+
+def test_diagonal_op_is_elementwise():
+    rng = np.random.default_rng(31)
+    d, e = rng.uniform(0.5, 2.0, 7), rng.uniform(0.1, 1.0, 7)
+    D, E = DiagonalOp(d), DiagonalOp(e)
+    v = rng.standard_normal(7)
+    assert np.array_equal(D.apply(v), d * v)
+    assert np.array_equal(D.apply_adjoint(v), d * v)
+    assert np.array_equal(D.solve_shifted(0.3, 2.0, v), v / (0.3 + 2.0 * d))
+    assert D.eig_bounds() == (d.min(), d.max())
+    assert np.array_equal(D.self_gram().apply(v), d ** 2 * v)
+    assert np.array_equal(D.to_dense(), np.diag(d))
+    # structural sums stay elementwise, and so does the exact direct solve
+    assert np.array_equal(linops._add(D, E, 0.5).apply(v), (d + 0.5 * e) * v)
+    assert np.array_equal(linops._add(ScaledIdentityOp(7, 2.0), D).apply(v),
+                          (2.0 + d) * v)
+    assert np.array_equal(linops.direct_solver(D, E, 0.5)(v),
+                          v / (d + 0.5 * e))
 
 
 def test_gram_structured_fast_paths_are_exact():

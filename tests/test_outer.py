@@ -1,5 +1,6 @@
 """Outer loop tests: sweep order, error measure, correction, traces."""
 
+import copy
 import csv
 import types
 
@@ -310,7 +311,7 @@ def test_inner_iteration_cap_ends_the_run_as_stagnated():
 
 
 @pytest.mark.parametrize('scheme', ['generalized', 'multistep',
-                                    'accelerated'])
+                                    'accelerated', 'exact'])
 def test_line_search_failure_ends_the_run_as_diverged(scheme):
     # with one NaN in the data every trial compares against a NaN f
     p = bench.make_lasso(bench.LassoConfig(n=20, d=30, seed=0))
@@ -335,6 +336,100 @@ def test_diverged_run_keeps_the_last_completed_iterates():
     assert res.reason == 'diverged' and res.iterations == len(last) == 3
     for got, want in zip((res.x, res.y, res.z, res.lam), last[-1]):
         assert np.array_equal(got, want)
+
+
+def test_non_finite_e_k_ends_an_exact_run_as_diverged():
+    # the exact scheme never line-searches: a NaN first shows in e^k
+    p = bench.make_lasso(bench.LassoConfig(n=20, d=30, seed=0))
+    last = []
+
+    def poison_after_three(s, rec):
+        last.append((s.x.copy(), s.y.copy(), s.z.copy(), s.lam.copy()))
+        if rec.k == 3:
+            p.b[0] = np.nan
+
+    res = outer.solve(p, outer.OuterParams(rho=1.0, scheme='exact',
+                                           stop_tol=0.0),
+                      callbacks=[poison_after_three])
+    assert res.reason == 'diverged' and res.iterations == len(last) == 3
+    for got, want in zip((res.x, res.y, res.z, res.lam), last[-1]):
+        assert np.array_equal(got, want)
+
+
+class StackedBlur(linops.VStackOp):
+    """[F] for a blur F: F's values and F^T F, but no ``diagonalized``
+    form, so a block with it keeps the problem's coordinates."""
+
+    def self_gram(self):
+        return self.parts[0].self_gram()
+
+
+def deblur8(stacked=False, blur=3):
+    p = bench.make_deblur(bench.DeblurConfig(size=8, blur_size=blur))
+    if stacked:
+        f = p.blocks[0].f
+        p.blocks[0].f = prox.QuadraticLS(StackedBlur([f.F]), f.data)
+    return p
+
+
+def test_working_basis_only_for_h_zero_blocks_with_a_diagonal_f():
+    cases = [(deblur8(), [True, False, False]),
+             (deblur8(stacked=True), [False] * 3),
+             (deblur8(blur=5), [False] * 3),
+             (bench.make_lasso(bench.LassoConfig(seed=0)), [False] * 2),
+             (lasso_like(3, m=3), [False] * 3)]
+    for p, want in cases:
+        got = [inner.BlockWorkspace(blk.A, block=blk) for blk in p.blocks]
+        assert [ws.block is not None for ws in got] == want
+
+
+@pytest.mark.parametrize('scheme', outer.SCHEMES)
+def test_working_basis_takes_the_problem_coordinates_steps(scheme):
+    # Q is orthonormal, so the steps agree up to rounding. The line-searched
+    # schemes amplify rounding about 30x per outer iteration on this
+    # problem, so each step starts from the reference run's state.
+    p, ref = deblur8(), deblur8(stacked=True)
+    params = outer.OuterParams(rho=5e-4, scheme=scheme)
+    bs = linops.assemble_back_sub([blk.A for blk in p.blocks[1:]])
+    ws_p, ws_ref = outer._workspaces(p, bs), outer._workspaces(ref, bs)
+    s = outer.OuterState(ref, params)
+    for _ in range(30):
+        t = copy.deepcopy(s)
+        s, want = outer.outer_step(ref, s, params, bs, ws_ref)
+        t, got = outer.outer_step(p, t, params, bs, ws_p)
+        assert got.inner_iters == want.inner_iters
+        assert got.objective == pytest.approx(want.objective, rel=1e-9)
+        assert got.e_k == pytest.approx(want.e_k, rel=1e-9)
+        for a, b in ((t.x, s.x), (t.z, s.z), (t.y, s.y), (t.lam, s.lam)):
+            assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max()
+
+
+def test_basis_block_costs_at_most_three_dcts_and_one_blur(monkeypatch):
+    counts = {'dct': 0, 'blur': 0}
+
+    def counting(fn, key):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ('dctn', 'idctn'):
+        monkeypatch.setattr(linops, name,
+                            counting(getattr(linops, name), 'dct'))
+    for name in ('apply', 'apply_adjoint'):
+        monkeypatch.setattr(linops.BlurOperator, name,
+                            counting(getattr(linops.BlurOperator, name),
+                                     'blur'))
+    for scheme in outer.SCHEMES:
+        seen = []
+        res = outer.solve(deblur8(), outer.OuterParams(
+            rho=5e-4, scheme=scheme, max_outer_iters=30),
+            callbacks=[lambda s, rec: seen.append(dict(counts))],
+            raise_on_maxiter=False)
+        assert res.iterations == 30
+        # iterations 2..30; the first also moves x and data into the basis
+        assert seen[-1]['dct'] - seen[0]['dct'] <= 3 * 29, scheme
+        assert seen[-1]['blur'] - seen[0]['blur'] <= 29, scheme
 
 
 @pytest.mark.parametrize('family', ['lasso', 'deblur'])

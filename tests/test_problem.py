@@ -6,9 +6,21 @@ import pytest
 
 from bosvs.errors import DimensionMismatch
 from bosvs.linops import DenseOp, IdentityOp, NegIdentityOp
-from bosvs.problem import (Block, Problem, L_i_k, augmented_lagrangian, b_i_k,
-                           kkt_residual, objective, phi_i_k)
+from bosvs.problem import (Block, Problem, L_i_k, b_i_k, kkt_residual,
+                           objective, phi_i_k)
 from bosvs.prox import QuadraticLS, ScaledL1, ZeroProx, ZeroSmooth
+
+
+def augmented_lagrangian(p, x, lam, rho):
+    """Phi(x) + <lam, Ax - b> + (rho/2) ||Ax - b||^2 (reference form)."""
+    lam = np.asarray(lam, dtype=float).ravel()
+    if lam.size != p.rows:
+        raise DimensionMismatch("multiplier length mismatch")
+    r = p.apply_A(x) - p.b
+    phi = objective(p, x)
+    if phi == np.inf:
+        return np.inf
+    return phi + float(lam @ r) + 0.5 * rho * float(r @ r)
 
 
 def dense_three_block(rng, rows=8, dims=(3, 4, 2)):

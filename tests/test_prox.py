@@ -8,7 +8,7 @@ from bosvs.errors import DimensionMismatch, EmptyBox, NegativeThreshold
 from bosvs.prox import (BoxIndicator, GroupL2, QuadraticLS, ScaledL1,
                         ZeroProx, ZeroSmooth, box_clamp, group_shrink,
                         soft_threshold)
-from bosvs.linops import DenseOp
+from bosvs.linops import BlurOperator, DenseOp, DiffOperator
 
 
 def scalar_l1_prox_oracle(v, t, weight=1.0):
@@ -171,3 +171,23 @@ def test_quadratic_ls_parts():
 def test_quadratic_ls_explicit_lipschitz_is_kept():
     f = QuadraticLS(DenseOp(np.eye(3)), np.zeros(3), lipschitz=9.5)
     assert f.lipschitz == 9.5
+
+
+def test_quadratic_ls_in_basis_is_the_same_function():
+    rng = np.random.default_rng(41)
+    g = DiffOperator(8, 8).self_gram()
+    f = QuadraticLS(BlurOperator.uniform(8, 8, 3), rng.standard_normal(64))
+    fb = f.in_basis(g)
+    u = rng.standard_normal(64)
+    v = g.forward(u)
+    assert fb.value(v) == pytest.approx(f.value(u), rel=1e-12)
+    assert np.allclose(fb.gradient(v), g.forward(f.gradient(u)),
+                       rtol=0, atol=1e-12)
+    assert fb.lipschitz == pytest.approx(f.lipschitz, rel=1e-9)
+    # no diagonal form on g's basis: a 5x5 blur, a dense F, another grid
+    assert QuadraticLS(BlurOperator.uniform(8, 8, 5), f.data).in_basis(g) \
+        is None
+    assert QuadraticLS(DenseOp(np.eye(64)), f.data).in_basis(g) is None
+    assert QuadraticLS(BlurOperator.uniform(4, 16, 3), f.data).in_basis(g) \
+        is None
+    assert ZeroSmooth().in_basis(g) is not None
