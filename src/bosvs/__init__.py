@@ -12,8 +12,7 @@ from .bench import (DeblurConfig, LassoConfig, ista_oracle, make_deblur,
                     make_lasso, phantom, refsolve, run_benchmark)
 from .inner import (BlockState, BlockWorkspace, InnerContext, InnerResult,
                     LineSearchParams, RelaxationParams, accelerated_loop,
-                    bb_stepsize, exact_block_solve, generalized_step,
-                    multistep_loop, prox_linear_step)
+                    exact_block_solve, generalized_step, multistep_loop)
 from .linops import (BlurOperator, DenseOp, DiffOperator, HaarTransform,
                      IdentityOp, LinOp, NegIdentityOp, ScaledIdentityOp,
                      VStackOp, ZeroOp, assemble_back_sub, back_substitute,
@@ -22,7 +21,7 @@ from .outer import (OuterParams, OuterState, SolveResult, TraceRecord,
                     energy_E, error_measure, outer_step, solve,
                     write_summary, write_trace_csv)
 from .problem import (Block, KKTReport, L_i_k, Problem, b_i_k, kkt_residual,
-                      objective, phi_i_k)
+                      objective)
 from .problem_io import load_problem, save_problem
 from .prox import (BoxIndicator, GroupL2, QuadraticLS, ScaledL1, ZeroProx,
                    ZeroSmooth, box_clamp, group_shrink, soft_threshold)
@@ -36,17 +35,16 @@ __all__ = [
     'ZeroOp', 'VStackOp', 'HaarTransform', 'DiffOperator', 'BlurOperator',
     'gram', 'assemble_back_sub', 'back_substitute',
     # problem
-    'Problem', 'Block', 'KKTReport', 'objective', 'b_i_k', 'phi_i_k',
-    'L_i_k', 'kkt_residual',
+    'Problem', 'Block', 'KKTReport', 'objective', 'b_i_k', 'L_i_k',
+    'kkt_residual',
     'load_problem', 'save_problem',
     # prox and parts
     'soft_threshold', 'group_shrink', 'box_clamp', 'ScaledL1', 'GroupL2',
     'BoxIndicator', 'ZeroProx', 'QuadraticLS', 'ZeroSmooth',
     # inner schemes
     'LineSearchParams', 'RelaxationParams', 'InnerResult', 'BlockState',
-    'BlockWorkspace', 'InnerContext', 'bb_stepsize', 'prox_linear_step',
-    'generalized_step', 'multistep_loop', 'accelerated_loop',
-    'exact_block_solve',
+    'BlockWorkspace', 'InnerContext', 'generalized_step', 'multistep_loop',
+    'accelerated_loop', 'exact_block_solve',
     # outer loop
     'OuterParams', 'OuterState', 'SolveResult', 'TraceRecord',
     'error_measure', 'outer_step', 'solve', 'energy_E', 'write_trace_csv',

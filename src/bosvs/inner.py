@@ -14,7 +14,8 @@ outer iteration:
   constant schedule (needs a Lipschitz constant) or the adaptive
   line-searched schedule; z is the accelerated average.
 * ``exact_block_solve``: minimizes the exact block objective, by a direct
-  solve (CG fallback) if h = 0, or one prox if f = 0 and Gram = c I, c > 0.
+  solve (CG fallback, CGNotConverged at its cap) if h = 0, or one prox if
+  f = 0 and Gram = c I, c > 0.
 
 The three inexact schemes share one backtracking search over
 delta0 * eta**j (``_line_search``); the generalized step is one
@@ -40,8 +41,8 @@ from .problem import Block
 
 __all__ = ['LineSearchParams', 'RelaxationParams', 'InnerResult',
            'BlockState', 'BlockWorkspace', 'InnerContext', 'RunningAverage',
-           'bb_stepsize', 'prox_linear_step', 'generalized_step',
-           'multistep_loop', 'accelerated_loop', 'exact_block_solve']
+           'generalized_step', 'multistep_loop', 'accelerated_loop',
+           'exact_block_solve']
 
 LINE_SEARCH_CAP = 60
 ACCEL_SCHEDULES = ('adaptive', 'constant')
@@ -125,20 +126,16 @@ class BlockState:
         self.basis = None             # Q of x's working basis, if any
         self._memo = []   # [point, f(point), grad f(point), residual]
 
-    def _entry(self, u):
-        for e in self._memo:
-            if e[0] is u:
-                return e
-        return None
-
     def _memoized(self, f, u, slot, fn):
         """Points match by identity (iterates are rebound, never written in
         place). An entry lives while its point is x or x_prev or is the
         newest, so the BB seed at x^k reuses iteration k-1's gradient at
         x^{k-1}, and a step from an accepted trial point reuses f there.
         A part with a ``residual`` hook takes it once per point."""
-        e = self._entry(u)
-        if e is None:
+        for e in self._memo:
+            if e[0] is u:
+                break
+        else:
             e = [u, None, None, None]
             self._memo = [d for d in self._memo
                           if d[0] is self.x or d[0] is self.x_prev] + [e]
@@ -155,10 +152,6 @@ class BlockState:
     def gradient(self, f, u):
         """grad f(u), memoized with f(u)."""
         return self._memoized(f, u, 2, f.gradient)
-
-    def known_value(self, u):
-        """f(u) if the memo holds it, else None; never evaluates f."""
-        return (self._entry(u) or (None, None))[1]
 
 
 class BlockWorkspace:
@@ -192,7 +185,7 @@ class BlockWorkspace:
 
     def gram_basis(self):
         """The Gram value: a ``ZeroOp``, ``ScaledIdentityOp``,
-        ``Diagonalized``, ``DiagonalOp`` or ``DenseOp`` of ``linops``."""
+        ``Diagonalized`` or ``DenseOp`` of ``linops``."""
         return self._gram
 
     def identity_multiple(self):
@@ -204,20 +197,19 @@ class BlockWorkspace:
 
     def system(self, f, rho):
         """The exact scheme's (``linops.direct_solver`` of H_f + rho A^T A or
-        None, grad f(0)), built once: the workspace lives for one solve."""
-        if self._system is None:
+        None, grad f(0)), built once per rho."""
+        if self._system is None or self._system[0] != rho:
             H = f.hess_gram(self._gram.cols) if f.hess_gram else None
-            self._system = (None if H is None
+            self._system = (rho, None if H is None
                             else linops.direct_solver(H, self._gram, rho),
                             f.gradient(np.zeros(self._gram.cols)))
-        return self._system
+        return self._system[1:]
 
 
 class InnerContext:
     """Per-(outer iteration, block) inputs shared by every scheme.
 
-    ``ls``, ``relax`` and ``k`` feed the line searches; a lone
-    ``prox_linear_step`` leaves them unset.
+    ``ls``, ``relax`` and ``k`` feed the line searches.
     """
 
     def __init__(self, p, i, b_ik, lam, rho, ls=None, relax=None, k=1,
@@ -246,18 +238,10 @@ class InnerContext:
         return self._atc
 
 
-def bb_stepsize(f, x_cur, x_prev):
-    """<grad f(x) - grad f(x_prev), dx> / ||dx||^2, or None if dx = 0."""
-    d = np.asarray(x_cur, dtype=float) - np.asarray(x_prev, dtype=float)
-    nn = float(d @ d)
-    if nn == 0.0:
-        return None
-    return float((f.gradient(x_cur) - f.gradient(x_prev)) @ d) / nn
-
-
 def _bb_seed(ctx, bst):
-    """Safeguarded ``bb_stepsize`` from the gradients ``bst`` holds, so
-    only the one at x^k is new; delta_min_i when unavailable."""
+    """Safeguarded BB stepsize <grad f(x) - grad f(x_prev), dx> / ||dx||^2
+    from the gradients ``bst`` holds, so only the one at x^k is new;
+    delta_min_i when unavailable (k = 1 or dx = 0)."""
     if ctx.k > 1 and bst.x_prev is not None:
         d = bst.x - bst.x_prev
         nn = float(d @ d)
@@ -281,20 +265,6 @@ def _composite_argmin(ctx, grad_vec, center, delta):
         t = 1.0 / (delta + rho * c)
         return ctx.block.h.prox(rhs * t, t)
     raise UnsupportedSubproblem(ctx.i + 1)
-
-
-def prox_linear_step(p, i, v, delta, b_ik, lam, rho, workspace=None):
-    """Minimize the linearized proximal subproblem around v.
-
-    Solves argmin_u f_i(v) + <grad f_i(v), u - v> + (delta/2)||u - v||^2
-    + h_i(u) + (rho/2)||A_i u - b_ik + lam/rho||^2. With h_i = 0 this is
-    a direct linear solve; with Gram(A_i) = c*I it is one prox call at
-    scale 1/(delta + rho*c); otherwise UnsupportedSubproblem.
-    """
-    ctx = InnerContext(p, i, np.asarray(b_ik, dtype=float),
-                       np.asarray(lam, dtype=float), rho, workspace=workspace)
-    v = np.asarray(v, dtype=float)
-    return _composite_argmin(ctx, ctx.block.f.gradient(v), v, delta)
 
 
 def _line_search(ctx, delta0, trial):

@@ -12,7 +12,8 @@ orthonormal transform (the DCT-II for differences and symmetric 3x3
 blurs) or the ``DenseOp`` fallback. These four also solve their shifted
 systems (``solve_shifted``) and report their spectrum (``eig_bounds``).
 Stacks sum their part Grams structurally, so they are never materialized.
-``DiagonalOp`` is ``Diagonalized`` on the identity basis. A block with
+``DiagonalOp(eig)`` is a ``Diagonalized`` on the identity basis, and the
+``self_gram`` of a ``Diagonalized`` squares its eigenvalues. A block with
 h = 0, a ``Diagonalized`` Gram and a smooth part that is zero or has its
 ``F`` diagonal on the same basis runs in that basis, where its Gram and
 ``F`` are ``DiagonalOp`` (``inner.BlockWorkspace``); a c I or dense Gram,
@@ -152,7 +153,7 @@ class ScaledIdentityOp(LinOp):
     def apply_adjoint(self, w):
         return self.scalar * self._check_adjoint(w)
 
-    def to_dense(self):
+    def to_dense(self):     # ``_add`` materializes c I beside a dense H
         return self.scalar * np.eye(self.rows)
 
     def solve_shifted(self, delta, rho, rhs):
@@ -185,9 +186,6 @@ class ZeroOp(LinOp):
     def apply_adjoint(self, w):
         self._check_adjoint(w)
         return np.zeros(self.cols)
-
-    def to_dense(self):
-        return np.zeros((self.rows, self.cols))
 
     def solve_shifted(self, delta, rho, rhs):
         return rhs / delta
@@ -223,9 +221,6 @@ class VStackOp(LinOp):
             out += p.apply_adjoint(w[at:at + p.rows])
             at += p.rows
         return out
-
-    def to_dense(self):
-        return np.vstack([p.to_dense() for p in self.parts])
 
 
 class HaarTransform(LinOp):
@@ -402,9 +397,6 @@ class BlurOperator(LinOp):
     def apply_adjoint(self, w):
         return self._mat_t @ self._check_adjoint(w)
 
-    def to_dense(self):
-        return self._mat.toarray()
-
     def diagonalized(self):
         """F as Q^T diag(eig_F) Q in the DCT-II basis when the kernel is
         symmetric in both axes with half-width <= 1 (clipping is then
@@ -421,8 +413,7 @@ class BlurOperator(LinOp):
     def self_gram(self):
         """F^T F = Q^T diag(eig_F^2) Q, or None without ``diagonalized``."""
         d = self.diagonalized()
-        return None if d is None else Diagonalized(d.eig ** 2, d.forward,
-                                                   d.inverse)
+        return None if d is None else d.self_gram()
 
 
 class Diagonalized(LinOp):
@@ -445,16 +436,15 @@ class Diagonalized(LinOp):
     def eig_bounds(self):
         return float(self.eig.min()), float(self.eig.max())
 
+    def self_gram(self):
+        """Q^T diag(eig^2) Q, on the same basis."""
+        return Diagonalized(self.eig ** 2, self.forward, self.inverse)
 
-class DiagonalOp(Diagonalized):
+
+def DiagonalOp(eig):
     """diag(eig): ``Diagonalized`` on the identity basis (``np.asarray``),
     so every product and shifted solve is elementwise."""
-
-    def __init__(self, eig):
-        super().__init__(eig, np.asarray, np.asarray)
-
-    def self_gram(self):
-        return DiagonalOp(self.eig ** 2)
+    return Diagonalized(eig, np.asarray, np.asarray)
 
 
 def _from_array(g, tol=1e-12):

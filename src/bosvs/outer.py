@@ -21,8 +21,9 @@ import time
 
 import numpy as np
 
-from .errors import (DimensionMismatch, InnerIterationCap, LineSearchDiverged,
-                     MaxItersReached, MissingReference, NegativeR)
+from .errors import (CGNotConverged, DimensionMismatch, InnerIterationCap,
+                     LineSearchDiverged, MaxItersReached, MissingReference,
+                     NegativeR)
 from .inner import (ACCEL_SCHEDULES, BlockState, BlockWorkspace, InnerContext,
                     LineSearchParams, RelaxationParams, accelerated_loop,
                     exact_block_solve, generalized_step, multistep_loop)
@@ -63,7 +64,7 @@ class OuterParams:
     Parameters
     ----------
     rho : float
-        Penalty parameter, > 0.
+        Penalty parameter, finite and > 0.
     alpha : float
         Correction stepsize, strictly inside (0, 1).
     scheme : str
@@ -95,8 +96,8 @@ class OuterParams:
                  accel_schedule='adaptive', ls=None, relax=None,
                  stop_tol=None, max_outer_iters=100000, cg_tol=1e-6,
                  reference=None):
-        if rho <= 0:
-            raise ValueError("rho must be positive")
+        if not 0.0 < rho < np.inf:
+            raise ValueError("rho must be finite and positive")
         if not (0.0 < alpha < 1.0):
             raise ValueError("alpha must lie strictly inside (0, 1)")
         if scheme not in SCHEMES:
@@ -277,10 +278,10 @@ def outer_step(p, s, params, bs, workspaces=None, t0=None):
     ``prods[j]`` holds A_j y_j until block j is swept, then A_j z_j.
     b_ik and A z - b are summed in the order of ``problem.b_i_k`` and
     ``Problem.apply_A``. Block states carry x_i between iterations, so
-    their f and grad f memos keep matching; the trace objective reads f_i
-    at z_i from the memo when a line search took it. A block run in a
-    working basis returns z_i and x_i^{k+1} in it; they are mapped out
-    here, and f_i(z_i) is taken there, elementwise, when the memo lacks it.
+    their f and grad f memos keep matching; the trace objective takes f_i
+    at z_i through the rolled-forward memo, which holds it when a line
+    search took it. A block run in a working basis returns z_i and
+    x_i^{k+1} in it; they are mapped out here, and f_i(z_i) is taken in it.
     """
     if workspaces is None:
         workspaces = _workspaces(p, bs)
@@ -301,16 +302,15 @@ def outer_step(p, s, params, bs, workspaces=None, t0=None):
         z[sl] = ws.from_basis(res.z)
         x_next.append(z[sl] if res.x_next is res.z
                       else ws.from_basis(res.x_next))
-        fz = bst.known_value(res.z)
-        f_known.append(fz if fz is not None or ws.block is None
-                       else ws.block.f.value(res.z))
         prods[i] = p.blocks[i].A.apply(z[sl])
         results.append(res)
-        # roll the per-block bookkeeping forward
+        # roll the per-block bookkeeping forward, so that the memo keeps
+        # the entries of the new x and x_prev
         bst.x_prev, bst.x = bst.x, res.x_next
         bst.delta_prev = res.delta_final
         bst.Gamma_prev = res.Gamma
         bst.l_prev = res.inner_iters
+        f_known.append(bst.value((ws.block or p.blocks[i]).f, res.z))
     r_list = [res.r for res in results]
     primal_vec = sum(prods, np.zeros(p.rows)) - p.b
     e = error_measure(params.thetas, z, s.y, r_list, p, primal_vec)
@@ -344,9 +344,9 @@ def solve(p, params, x0=None, lam0=None, callbacks=None,
 
     Returns a SolveResult whose ``solution`` is the final z iterate.
     Callbacks receive (state, record) after every iteration; a truthy
-    return stops the run with reason 'callback'. An inner loop that hits
-    its cap ends it as 'stagnated'; a line search that gives up or an e^k
-    that is not finite (non-finite values) as 'diverged'. Both keep the
+    return stops the run with reason 'callback'. An inner loop or the
+    exact scheme's CG that hits its cap ends it as 'stagnated'; a line
+    search that gives up or a non-finite e^k as 'diverged'. Both keep the
     iterates of the last completed iteration, whose record ends the trace.
     The other reasons are 'converged' and 'max_iters'.
     Raises MaxItersReached (result attached) when the budget is exhausted
@@ -365,9 +365,9 @@ def solve(p, params, x0=None, lam0=None, callbacks=None,
         last = (s.x, s.y, s.z, s.lam)
         try:
             s, rec = outer_step(p, s, params, bs, workspaces, t0)
-        except (InnerIterationCap, LineSearchDiverged) as exc:
-            reason = 'stagnated' if isinstance(exc, InnerIterationCap) \
-                else 'diverged'
+        except (InnerIterationCap, CGNotConverged, LineSearchDiverged) as exc:
+            reason = 'diverged' if isinstance(exc, LineSearchDiverged) \
+                else 'stagnated'
             break
         if not np.isfinite(rec.e_k):
             s.x, s.y, s.z, s.lam = last

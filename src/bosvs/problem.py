@@ -5,9 +5,9 @@ convex part f_i (gradient available) and a nonsmooth convex part h_i
 (prox available, value may be +inf), tied by sum_i A_i x_i = b. Block
 vectors are stored as one contiguous array with an offset table.
 
-The module-level functions evaluate the objective, the per-block
-linearized subproblem objective Phi_i, the exact subproblem objective
-L_i, the partial right-hand sides b_i, and a KKT residual report.
+The module-level functions evaluate the objective, the exact subproblem
+objective L_i, the partial right-hand sides b_i, and a KKT residual
+report.
 """
 
 import numpy as np
@@ -15,8 +15,7 @@ import numpy as np
 from .errors import DimensionMismatch
 
 __all__ = ['SmoothPart', 'NonsmoothPart', 'Block', 'Problem', 'KKTReport',
-           'objective', 'b_i_k', 'phi_i_k', 'L_i_k',
-           'kkt_residual']
+           'objective', 'b_i_k', 'L_i_k', 'kkt_residual']
 
 
 class SmoothPart:
@@ -158,27 +157,6 @@ def b_i_k(p, i, z, y):
         if j != i:
             out -= p.blocks[j].A.apply((z if j < i else y)[p.block_slice(j)])
     return out
-
-
-def phi_i_k(p, i, u, v, delta, b_ik, lam, rho):
-    """Linearized proximal subproblem objective for block i.
-
-    f_i(v) + <grad f_i(v), u - v> + (delta/2)||u - v||^2 + h_i(u)
-    + (rho/2)||A_i u - b_ik + lam/rho||^2.
-    """
-    blk = p.blocks[i]
-    u = np.asarray(u, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
-    if u.size != blk.dim or v.size != blk.dim:
-        raise DimensionMismatch(f"block {i + 1} expects dim {blk.dim}")
-    d = u - v
-    hv = blk.h.value(u)
-    if hv == np.inf:
-        return np.inf
-    pen = blk.A.apply(u) - b_ik + lam / rho
-    return (blk.f.value(v) + float(blk.f.gradient(v) @ d)
-            + 0.5 * delta * float(d @ d) + hv
-            + 0.5 * rho * float(pen @ pen))
 
 
 def L_i_k(p, i, u, b_ik, lam, rho):

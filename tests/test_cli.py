@@ -57,6 +57,15 @@ def test_solve_zero_budget_is_a_usage_error(lasso_file):
     assert 'Traceback' not in proc.stderr
 
 
+def test_rho_that_is_not_finite_is_a_usage_error(lasso_file):
+    for rho in ('nan', 'inf'):
+        proc = run_cli(['solve', '--problem', lasso_file, '--scheme',
+                        'generalized', '--rho', rho])
+        assert proc.returncode == 1, rho
+        assert proc.stderr.startswith('error:') and 'rho' in proc.stderr
+        assert 'Traceback' not in proc.stderr
+
+
 def test_solve_missing_file_is_an_error():
     proc = run_cli(['solve', '--problem', '/nonexistent/p.json',
                     '--scheme', 'exact', '--rho', '1.0'])

