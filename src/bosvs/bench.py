@@ -3,10 +3,10 @@
 Two desk-scale instance families: image deblurring with a total
 variation plus wavelet-sparsity objective (three blocks), and lasso
 consensus (two blocks). ``ista_oracle`` gives an independent reference
-solution for the lasso family, and ``refsolve`` a reference objective by
-the accelerated refinement protocol for any problem. ``run_benchmark``
-executes one scheme on a problem and writes trace, summary, and
-plot-data files graded against a given reference objective.
+solution for the lasso family, and ``refsolve`` a reference run whose
+final objective grades any problem (accelerated refinement protocol).
+``run_benchmark`` executes one scheme on a problem and writes trace,
+summary, and plot-data files graded against a given reference objective.
 """
 
 import math
@@ -182,35 +182,33 @@ def refsolve(p, rho, alpha=0.999, cap=REFERENCE_CAP):
 
     Runs the accelerated scheme until the objective's first eight
     significant digits stay unchanged over four consecutive iterations
-    (cap 50000). Returns (phi_star, SolveResult).
+    (cap 50000). Returns the SolveResult, whose final objective is phi_star.
     """
     params = OuterParams(rho=rho, alpha=alpha, scheme='accelerated',
                          stop_tol=0.0, max_outer_iters=cap)
-    result = solve(p, params, callbacks=[_stable_digits_callback()],
-                   raise_on_maxiter=False)
-    return result.final_objective, result
+    return solve(p, params, callbacks=[_stable_digits_callback()],
+                 raise_on_maxiter=False)
 
 
-def run_benchmark(p, params, out_dir, phi_star, prefix=None):
+def run_benchmark(p, params, out_dir, phi_star):
     """Run ``params.scheme`` on problem p and write its artifacts.
 
-    Writes <prefix>_trace.csv, <prefix>_summary.json, and
-    <prefix>_plotdata.csv (wall time against log10 relative objective
+    Writes <scheme>_trace.csv, <scheme>_summary.json, and
+    <scheme>_plotdata.csv (wall time against log10 relative objective
     error versus the reference objective phi_star) into the existing
-    directory out_dir; prefix defaults to the scheme name. Returns 0
-    when the run converged and 2 otherwise.
+    directory out_dir. Returns 0 when the run converged and 2 otherwise.
     """
-    prefix = prefix or params.scheme
+    scheme = params.scheme
     result = solve(p, params, raise_on_maxiter=False)
-    write_trace_csv(result.trace, os.path.join(out_dir, f"{prefix}_trace.csv"),
+    write_trace_csv(result.trace, os.path.join(out_dir, f"{scheme}_trace.csv"),
                     p.m)
     scale = max(abs(phi_star), 1e-300)
-    with open(os.path.join(out_dir, f"{prefix}_plotdata.csv"), 'w') as fh:
+    with open(os.path.join(out_dir, f"{scheme}_plotdata.csv"), 'w') as fh:
         fh.write("time_s,log10_rel_err\n")
         for rec in result.trace:
             rel = abs(rec.objective - phi_star) / scale
             val = math.log10(rel) if rel > 0 else -math.inf
             fh.write(f"{rec.time_s!r},{val!r}\n")
-    write_summary(result, os.path.join(out_dir, f"{prefix}_summary.json"),
-                  extra={'scheme': params.scheme, 'phi_star': phi_star})
+    write_summary(result, os.path.join(out_dir, f"{scheme}_summary.json"),
+                  extra={'scheme': scheme, 'phi_star': phi_star})
     return 0 if result.converged else 2

@@ -2,11 +2,12 @@
 
 Subcommands: ``solve`` runs one scheme on a problem file; ``bench
 deblur`` / ``bench lasso`` generate an instance, save it, and run one or
-all schemes on it against ``refsolve``'s (deblur) or the ISTA oracle's
-(lasso) objective; ``refsolve`` runs the accelerated refinement protocol.
-Exit code 0 on convergence (for ``refsolve``, also when its stable-digits
-rule ends the run), 2 when a run stopped short of it, 1 on any other
-error.
+all schemes on it against the final objective of a ``refsolve`` run
+(deblur) or the ISTA oracle's (lasso); ``refsolve`` runs the accelerated
+refinement protocol (``--summary`` adds ``phi_star`` to the ``solve``
+summary). Exit code 0 on convergence (for ``refsolve``, also when its
+stable-digits rule ends the run), 2 when a run stopped short of it, 1 on
+any other error.
 """
 
 import argparse
@@ -100,7 +101,7 @@ def _cmd_bench_deblur(args):
                        seed=args.seed, haar_levels=args.haar_levels)
     p = make_deblur(cfg)
     ref = refsolve(p, args.rho if args.ref_rho is None else args.ref_rho,
-                   args.alpha)[1]
+                   args.alpha)
     return _bench_run_matrix(p, args, _last(ref, 'reference run').objective)
 
 
@@ -121,13 +122,10 @@ def _cmd_bench_lasso(args):
 
 def _cmd_refsolve(args):
     p = load_problem(args.problem)
-    phi_star, result = refsolve(p, args.rho, args.alpha, cap=args.cap)
-    doc = {'phi_star': phi_star, 'iterations': result.iterations,
-           'termination': result.reason}
+    result = refsolve(p, args.rho, args.alpha, cap=args.cap)
     if args.summary:
-        with open(args.summary, 'w') as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write('\n')
+        write_summary(result, args.summary,
+                      extra={'phi_star': result.final_objective})
     print(f"phi_star={_last(result, 'refsolve').objective:.9e} after "
           f"{result.iterations} iterations ({result.reason})")
     # 'callback' is the stable-digits rule that ends a complete reference run

@@ -16,9 +16,9 @@ class BadDims(SolverError, ValueError):
 class RankDeficient(SolverError):
     """A coupling block failed the full-column-rank check."""
 
-    def __init__(self, block, message=None):
+    def __init__(self, block):
         self.block = block
-        super().__init__(message or f"block {block} is numerically rank deficient")
+        super().__init__(f"block {block} is numerically rank deficient")
 
 
 class NegativeThreshold(SolverError, ValueError):
@@ -42,29 +42,29 @@ class UnsupportedSubproblem(SolverError):
 class LineSearchDiverged(SolverError):
     """Backtracking exceeded the trial cap without acceptance."""
 
-    def __init__(self, block, trials, message=None):
+    def __init__(self, block, trials):
         self.block = block
         self.trials = trials
-        super().__init__(message or f"block {block}: line search gave up after "
-                                    f"{trials} trials")
+        super().__init__(f"block {block}: line search gave up after {trials} "
+                         "trials")
 
 
 class InnerIterationCap(SolverError):
     """Inner loop hit its iteration cap; usually a mis-set psi or a
     degenerate block."""
 
-    def __init__(self, block, cap, message=None):
+    def __init__(self, block, cap):
         self.block = block
         self.cap = cap
-        super().__init__(message or f"block {block}: inner loop hit cap {cap}")
+        super().__init__(f"block {block}: inner loop hit cap {cap}")
 
 
 class CGNotConverged(SolverError):
     """Conjugate gradient exhausted maxit before reaching tolerance."""
 
-    def __init__(self, maxit, message=None):
+    def __init__(self, maxit):
         self.maxit = maxit
-        super().__init__(message or f"CG did not converge within {maxit} iterations")
+        super().__init__(f"CG did not converge within {maxit} iterations")
 
 
 class NegativeR(SolverError, ValueError):

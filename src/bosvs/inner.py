@@ -219,8 +219,8 @@ class InnerContext:
         self.b_ik = b_ik
         self.lam = lam
         self.rho = float(rho)
-        self.ls = ls
-        self.relax = relax
+        self.ls = ls if ls is not None else LineSearchParams()
+        self.relax = relax if relax is not None else RelaxationParams()
         self.k = int(k)
         self.workspace = workspace if workspace is not None \
             else BlockWorkspace(p.blocks[i].A)

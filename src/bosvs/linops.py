@@ -447,14 +447,14 @@ def DiagonalOp(eig):
     return Diagonalized(eig, np.asarray, np.asarray)
 
 
-def _from_array(g, tol=1e-12):
-    """ZeroOp, ScaledIdentityOp when g = c I within tol (relative), else
+def _from_array(g):
+    """ZeroOp, ScaledIdentityOp when g = c I within 1e-12 (relative), else
     DenseOp."""
     if not np.any(g):
         return ZeroOp(*g.shape)
     if g.shape[0] == g.shape[1]:
         c = g[0, 0]
-        if np.max(np.abs(g - c * np.eye(len(g)))) <= tol * max(abs(c), 1.0):
+        if np.max(np.abs(g - c * np.eye(len(g)))) <= 1e-12 * max(abs(c), 1.0):
             return ScaledIdentityOp(len(g), c)
     return DenseOp(g)
 
@@ -496,12 +496,17 @@ def gram(a, b):
     return g if g is not None else _from_array(a.to_dense().T @ b.to_dense())
 
 
+def _rank_deficient(g):
+    """Back-substitution rank test on a Gram value's eigenvalue bounds."""
+    lo, hi = g.eig_bounds()
+    return hi <= 0.0 or lo <= 1e-10 * hi
+
+
 def direct_solver(h, g, rho):
     """rhs -> (H + rho G)^{-1} rhs for Gram values H >= 0 and G, or None
     when G fails the back-substitution rank test (the sum may be singular
     too). A dense sum is Cholesky factored, a tenth of its ``eigh``'s cost."""
-    lo, hi = g.eig_bounds()
-    if lo <= 1e-10 * hi:
+    if _rank_deficient(g):
         return None
     k = _add(h, g, rho)
     if isinstance(k, DenseOp):
@@ -573,19 +578,17 @@ def _cat(parts):
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
-def assemble_back_sub(blocks, rank_tol=1e-10):
+def assemble_back_sub(blocks):
     """Build BackSubMatrices from the operators A_2..A_m.
 
-    Each block must have full column rank; the check compares the
-    smallest Gram eigenvalue against rank_tol times the largest.
-    Raises RankDeficient with the 1-based position among these blocks.
+    Each block must have full column rank (``_rank_deficient``); raises
+    RankDeficient with the 1-based position among these blocks.
     """
     blocks = list(blocks)
     mblocks = []
     for i, bi in enumerate(blocks):
         row = [gram(bi, bj) for bj in blocks[:i + 1]]
-        lo, hi = row[i].eig_bounds()
-        if hi <= 0.0 or lo <= rank_tol * hi:
+        if _rank_deficient(row[i]):
             raise RankDeficient(i + 2)
         mblocks.append(row)
     return BackSubMatrices(mblocks, [b.cols for b in blocks])

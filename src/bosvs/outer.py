@@ -78,8 +78,8 @@ class OuterParams:
         Practical slack; construct with enabled=False for the strict
         variants.
     stop_tol : float or None
-        Terminate when e^k <= stop_tol. None resolves after the first
-        iteration to 1e-8 * (1 + |Phi(z^1)|).
+        Terminate when e^k <= stop_tol, which is >= 0. None resolves after
+        the first iteration to 1e-8 * (1 + |Phi(z^1)|).
     max_outer_iters : int
         Outer iteration budget, >= 1.
     cg_tol : float
@@ -104,6 +104,8 @@ class OuterParams:
             raise ValueError(f"unknown scheme {scheme!r}")
         if accel_schedule not in ACCEL_SCHEDULES:
             raise ValueError(f"unknown accel_schedule {accel_schedule!r}")
+        if stop_tol is not None and not stop_tol >= 0.0:
+            raise ValueError("stop_tol must be nonnegative or None")
         self.rho = float(rho)
         self.alpha = float(alpha)
         self.scheme = scheme
@@ -175,8 +177,7 @@ class TraceRecord:
 class SolveResult:
     """Final iterates, trace, and termination report."""
 
-    def __init__(self, p, x, y, z, lam, trace, converged, reason, stop_tol):
-        self.p = p
+    def __init__(self, x, y, z, lam, trace, converged, reason, stop_tol):
         self.x = x
         self.y = y
         self.z = self.solution = z    # the reported solution is z
@@ -387,7 +388,7 @@ def solve(p, params, x0=None, lam0=None, callbacks=None,
         if stopped:
             reason = 'callback'
             break
-    result = SolveResult(p, s.x, s.y, s.z, s.lam, trace, converged, reason,
+    result = SolveResult(s.x, s.y, s.z, s.lam, trace, converged, reason,
                          stop_tol)
     if not converged and reason == 'max_iters' and raise_on_maxiter:
         raise MaxItersReached(result)

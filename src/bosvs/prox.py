@@ -201,19 +201,19 @@ class QuadraticLS(SmoothPart):
             self._lipschitz = self._power_iteration()
         return self._lipschitz
 
-    def _power_iteration(self, tol=1e-12, maxit=5000):
+    def _power_iteration(self):
         rng = np.random.default_rng(0)
         v = rng.standard_normal(self.F.cols)
         v /= np.linalg.norm(v)
         lam = 0.0
-        for _ in range(maxit):
+        for _ in range(5000):
             w = self.hess_apply(v)
             nw = np.linalg.norm(w)
             if nw == 0.0:
                 return 0.0
             lam_new = float(v @ w)
             v = w / nw
-            if abs(lam_new - lam) <= tol * max(abs(lam_new), 1.0):
+            if abs(lam_new - lam) <= 1e-12 * max(abs(lam_new), 1.0):
                 return lam_new
             lam = lam_new
         return lam

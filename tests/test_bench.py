@@ -168,7 +168,8 @@ def test_refsolve_protocol_on_lasso():
     p = bench.make_lasso(cfg)
     u = bench.ista_oracle(p.meta['design'], p.meta['data'], cfg.beta)
     phi_ista = problem.objective(p, np.concatenate([u, u]))
-    phi_star, result = bench.refsolve(p, rho=1.0)
+    result = bench.refsolve(p, rho=1.0)
+    phi_star = result.final_objective
     assert abs(phi_star - phi_ista) <= 1e-7 * abs(phi_ista)
     assert result.reason == 'callback'
     # the protocol stops once four consecutive iterations print the same
@@ -184,7 +185,7 @@ def test_run_benchmark_artifacts(tmp_path):
     p = bench.make_lasso(cfg)
     params = outer.OuterParams(rho=1.0, scheme='accelerated', stop_tol=1e-8,
                                max_outer_iters=10000)
-    phi_star, _ = bench.refsolve(p, 1.0)
+    phi_star = bench.refsolve(p, 1.0).final_objective
     code = bench.run_benchmark(p, params, str(tmp_path), phi_star)
     assert code == 0
     with open(tmp_path / 'accelerated_summary.json') as fh:
@@ -204,9 +205,8 @@ def test_run_benchmark_artifacts(tmp_path):
     # exhausted budget reports exit code 2
     tight = outer.OuterParams(rho=1.0, scheme='generalized', stop_tol=1e-12,
                               max_outer_iters=3)
-    code2 = bench.run_benchmark(p, tight, str(tmp_path), phi_star,
-                                prefix='short')
+    code2 = bench.run_benchmark(p, tight, str(tmp_path), phi_star)
     assert code2 == 2
-    with open(tmp_path / 'short_summary.json') as fh:
+    with open(tmp_path / 'generalized_summary.json') as fh:
         short = json.load(fh)
     assert short['termination'] == 'max_iters'

@@ -66,6 +66,15 @@ def test_rho_that_is_not_finite_is_a_usage_error(lasso_file):
         assert 'Traceback' not in proc.stderr
 
 
+def test_tol_that_is_nan_or_negative_is_a_usage_error(lasso_file):
+    for tol in ('nan', '-1'):
+        proc = run_cli(['solve', '--problem', lasso_file, '--scheme',
+                        'generalized', '--rho', '1', '--tol', tol])
+        assert proc.returncode == 1, tol
+        assert proc.stderr.startswith('error:') and 'stop_tol' in proc.stderr
+        assert 'Traceback' not in proc.stderr
+
+
 def test_solve_missing_file_is_an_error():
     proc = run_cli(['solve', '--problem', '/nonexistent/p.json',
                     '--scheme', 'exact', '--rho', '1.0'])

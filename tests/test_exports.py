@@ -1,7 +1,10 @@
-"""Every exported name resolves on its module."""
+"""Every exported name resolves on its module; the package exports its
+modules."""
 
 import importlib
 import pkgutil
+import subprocess
+import sys
 
 import bosvs
 
@@ -13,3 +16,20 @@ def test_every_exported_name_exists():
         missing = [n for n in getattr(mod, '__all__', ())
                    if not hasattr(mod, n)]
         assert not missing, f"{mod.__name__}.__all__ names {missing}"
+
+
+MODULES = ['bench', 'errors', 'inner', 'linops', 'outer', 'problem',
+           'problem_io', 'prox']
+
+
+def test_package_namespace_is_its_modules():
+    assert bosvs.__all__ == MODULES + ['__version__']
+    # a fresh import loads numpy, scipy and every module, which perfbench
+    # times as import_s
+    proc = subprocess.run([sys.executable, '-c',
+                           'import sys, bosvs; print(*sys.modules)'],
+                          capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert {'numpy', 'scipy'} <= loaded
+    assert {n for n in loaded if n.startswith('bosvs.')} \
+        == {f'bosvs.{m}' for m in MODULES}

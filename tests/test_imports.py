@@ -1,8 +1,7 @@
 """Every name a bosvs module imports is used or listed in its ``__all__``.
 
 Imports on a line carrying ``noqa`` are exempt (``outer`` keeps
-``problem.b_i_k`` for the perfbench tracer to wrap). ``__init__.py``
-re-exports by design and is not checked.
+``problem.b_i_k`` for the perfbench tracer to wrap).
 """
 
 import ast
@@ -42,8 +41,6 @@ def test_no_module_imports_an_unused_name():
                                           '*.py')))
     assert len(paths) > 5
     for path in paths:
-        if os.path.basename(path) == '__init__.py':
-            continue
         with open(path) as fh:
             unused = unused_imports(fh.read())
         assert not unused, f"{os.path.basename(path)} imports {unused}"

@@ -541,6 +541,23 @@ def test_exact_cg_matches_dense_solve():
     assert np.array_equal(res.z, res.x_next)
 
 
+def test_context_defaults_run_every_scheme():
+    # ls and relax default as in OuterParams
+    p = bench.make_lasso(bench.LassoConfig(n=20, d=30, seed=0))
+    rng = np.random.default_rng(5)
+    b_ik, lam = rng.standard_normal(p.rows), rng.standard_normal(p.rows)
+    ctx = inner.InnerContext(p, 0, b_ik, lam, 1.0)
+    assert ctx.ls.delta_min == inner.LineSearchParams().delta_min
+    assert ctx.relax.enabled == inner.RelaxationParams().enabled
+    runs = [lambda bst: inner.generalized_step(ctx, bst),
+            lambda bst: inner.multistep_loop(ctx, bst, 1e-3),
+            lambda bst: inner.accelerated_loop(ctx, bst, 1e-3),
+            lambda bst: inner.exact_block_solve(ctx, bst)]
+    for run in runs:
+        res = run(inner.BlockState(np.zeros(p.dims[0]), ctx.ls.delta_min))
+        assert res.inner_iters >= 1 and np.all(np.isfinite(res.z))
+
+
 def dense_exact_system(p, i, ctx):
     """(H_f + rho A^T A, rho A^T c + F^T data) of block i, materialized."""
     blk = p.blocks[i]

@@ -44,6 +44,12 @@ def test_outer_params_validation():
     for rho in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             outer.OuterParams(rho=rho)
+    for stop_tol in (-1.0, -1e-300, np.nan):
+        with pytest.raises(ValueError):
+            outer.OuterParams(rho=1.0, stop_tol=stop_tol)
+    for stop_tol in (None, 0.0, 1e-8, np.inf):
+        assert outer.OuterParams(rho=1.0, stop_tol=stop_tol).stop_tol \
+            is stop_tol
     with pytest.raises(ValueError):
         outer.OuterParams(rho=1.0, alpha=1.0)
     with pytest.raises(ValueError):
