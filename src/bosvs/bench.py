@@ -135,6 +135,9 @@ def make_lasso(cfg):
     u_true[support] = rng.choice([-1.0, 1.0], size=cfg.nnz) \
         * rng.uniform(0.5, 2.0, size=cfg.nnz)
     data = F @ u_true + cfg.noise_std * rng.standard_normal(cfg.d)
+    # taken from the C-order draw, so the instance keeps its bits; one
+    # column-major copy then serves DenseOp and meta['design'] alike
+    F = np.asfortranarray(F)
     blocks = [
         Block(IdentityOp(cfg.n), QuadraticLS(DenseOp(F), data), ZeroProx()),
         Block(NegIdentityOp(cfg.n), ZeroSmooth(), ScaledL1(cfg.beta)),

@@ -130,8 +130,9 @@ class BlockState:
         """Points match by identity (iterates are rebound, never written in
         place). An entry lives while its point is x or x_prev or is the
         newest, so the BB seed at x^k reuses iteration k-1's gradient at
-        x^{k-1}, and a step from an accepted trial point reuses f there.
-        A part with a ``residual`` hook takes it once per point."""
+        x^{k-1}, and a step from an accepted trial point reuses f or grad f
+        there. A part with a ``residual`` hook and no ``normal`` form takes
+        it once per point."""
         for e in self._memo:
             if e[0] is u:
                 break
@@ -140,13 +141,19 @@ class BlockState:
             self._memo = [d for d in self._memo
                           if d[0] is self.x or d[0] is self.x_prev] + [e]
         if e[slot] is None:
-            if f.residual is not None and e[3] is None:
+            if f.residual is not None and f.normal is None \
+                    and e[3] is None:
                 e[3] = f.residual(u)
             e[slot] = fn(u) if e[3] is None else fn(u, e[3])
         return e[slot]
 
     def value(self, f, u):
-        """f(u), memoized with grad f(u)."""
+        """f(u), memoized with grad f(u). A part with a ``normal`` form
+        (H, b, c) gives it from the memoized gradient as
+        0.5 <u, grad f(u) - b> + c, with no F apply."""
+        if f.normal is not None:
+            _, b, c = f.normal
+            return 0.5 * float(u @ (self.gradient(f, u) - b)) + c
         return self._memoized(f, u, 1, f.value)
 
     def gradient(self, f, u):
@@ -277,23 +284,37 @@ def _line_search(ctx, delta0, trial):
     raise LineSearchDiverged(ctx.i + 1, LINE_SEARCH_CAP)
 
 
+def _gap(d, g_u, g_v):
+    """Bregman gap f(v) - f(u) - <g_u, d> of a quadratic f, from its
+    gradients g_u at u and g_v at v = u + d."""
+    return 0.5 * float(d @ (g_v - g_u))
+
+
 def _linearized_step(ctx, bst, u, delta0, slack):
     """Backtracked linearized step from u, with g = grad f(u).
 
     Accepts the first trial delta whose candidate u + d satisfies
     f(u) + <g, d> + (1 - sigma) delta ||d||^2 / 2
-    >= f(u + d) - slack(delta). Returns (u + d, ||d||^2, delta).
+    >= f(u + d) - slack(delta). A part with a ``normal`` form tests the
+    same inequality on the gap ``_gap(d, g, grad f(u + d))``, so it takes
+    a gradient per trial and no f. Returns (u + d, ||d||^2, delta).
     """
     f = ctx.block.f
     sig = 1.0 - ctx.ls.sigma
-    fu, g = bst.value(f, u), bst.gradient(f, u)
+    quad = f.normal is not None
+    fu, g = None if quad else bst.value(f, u), bst.gradient(f, u)
 
     def trial(delta):
         cand = _composite_argmin(ctx, g, u, delta)
         d = cand - u
         dd = float(d @ d)
-        if fu + float(g @ d) + 0.5 * sig * delta * dd \
-                >= bst.value(f, cand) - slack(delta):
+        if quad:
+            ok = _gap(d, g, bst.gradient(f, cand)) \
+                <= 0.5 * sig * delta * dd + slack(delta)
+        else:
+            ok = fu + float(g @ d) + 0.5 * sig * delta * dd \
+                >= bst.value(f, cand) - slack(delta)
+        if ok:
             return cand, dd, delta
 
     return _line_search(ctx, delta0, trial)
@@ -326,7 +347,8 @@ class RunningAverage:
     def update(self, u, delta):
         self.gamma += 1.0 / delta
         alpha = 1.0 / (delta * self.gamma)
-        self.a = (1.0 - alpha) * self.a + alpha * u
+        # the first update keeps u itself, so the block memo matches it
+        self.a = u if alpha == 1.0 else (1.0 - alpha) * self.a + alpha * u
         return alpha
 
 
@@ -383,15 +405,18 @@ def multistep_loop(ctx, bst, psi_val, record=None,
 def _accelerated_iterates(ctx, bst, delta1):
     f = ctx.block.f
     sig = 1.0 - ctx.ls.sigma
+    quad = f.normal is not None
     u = a = bst.x
     gamma = 0.0
 
     def point(alpha, delta):   # abar, grad f(abar), next u, next a
-        # while gamma = 0, alpha = 1: abar is x^k itself, so the memo matches
+        # while gamma = 0, alpha = 1: abar is x^k itself and a_new is u_new,
+        # x^{k+1} if the loop stops here, so the memo matches both
         abar = u if gamma == 0.0 else (1.0 - alpha) * a + alpha * u
         gbar = bst.gradient(f, abar)
         u_new = _composite_argmin(ctx, gbar, u, delta)
-        return abar, gbar, u_new, (1.0 - alpha) * a + alpha * u_new
+        return abar, gbar, u_new, \
+            u_new if gamma == 0.0 else (1.0 - alpha) * a + alpha * u_new
 
     if delta1 is None:
         delta0 = _bb_seed(ctx, bst)
@@ -407,9 +432,15 @@ def _accelerated_iterates(ctx, bst, delta1):
             abar, gbar, u_new, a_new = point(alpha, delta)
             step = a_new - abar
             ss = float(step @ step)
-            lhs = bst.value(f, abar) + float(gbar @ step) \
-                + 0.5 * sig * (delta / alpha) * ss
-            if lhs >= bst.value(f, a_new) - eps * gamma_trial ** power:
+            slack = eps * gamma_trial ** power
+            if quad:
+                ok = _gap(step, gbar, bst.gradient(f, a_new)) \
+                    <= 0.5 * sig * (delta / alpha) * ss + slack
+            else:
+                ok = bst.value(f, abar) + float(gbar @ step) \
+                    + 0.5 * sig * (delta / alpha) * ss \
+                    >= bst.value(f, a_new) - slack
+            if ok:
                 return delta, alpha, gamma_trial, u_new, a_new
 
     l = 0

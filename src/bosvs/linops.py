@@ -30,6 +30,7 @@ import numpy as np
 from scipy import sparse
 from scipy.fft import dctn, idctn
 from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.linalg.blas import dsymv
 
 from .errors import BadDims, DimensionMismatch, RankDeficient
 
@@ -50,11 +51,20 @@ class LinOp:
     which solves (delta I + rho G) u = rhs, and ``eig_bounds()``, the
     smallest and largest eigenvalues. ``scalar`` is c when the operator
     is stored as c I (a scaled identity or a square zero), else None.
+    ``self_gram()`` is A^T A as one of those operators, or None when only
+    the dense product gives it; ``diagonalized()`` is the operator as a
+    ``Diagonalized``, or None.
     """
 
     rows = None
     cols = None
     scalar = None
+
+    def self_gram(self):
+        return None
+
+    def diagonalized(self):
+        return None
 
     def apply(self, v):
         raise NotImplementedError
@@ -99,8 +109,12 @@ class LinOp:
 class DenseOp(LinOp):
     """Wrap an explicit matrix. Storage is column-major contiguous.
 
-    Shifted solves use its eigendecomposition, computed on first use.
+    Shifted solves use its eigendecomposition, computed on first use. A
+    Gram that ``self_gram`` builds is exactly symmetric and is applied
+    from its upper triangle by BLAS symv, which reads half the memory.
     """
+
+    _symmetric = False
 
     def __init__(self, a):
         a = np.asfortranarray(a, dtype=float)
@@ -114,6 +128,8 @@ class DenseOp(LinOp):
         return eigh(self._a)
 
     def apply(self, v):
+        if self._symmetric:
+            return dsymv(1.0, self._a, self._check_apply(v))
         return self._a @ self._check_apply(v)
 
     def apply_adjoint(self, w):
@@ -121,6 +137,14 @@ class DenseOp(LinOp):
 
     def to_dense(self):
         return np.array(self._a)
+
+    def self_gram(self):
+        # numpy takes syrk for a.T @ a, so the result is exactly symmetric;
+        # its transpose is column-major, which DenseOp keeps without a copy
+        g = _from_array((self._a.T @ self._a).T)
+        if isinstance(g, DenseOp):
+            g._symmetric = True
+        return g
 
     def solve_shifted(self, delta, rho, rhs):
         w, q = self._eigh
@@ -454,7 +478,10 @@ def _from_array(g):
         return ZeroOp(*g.shape)
     if g.shape[0] == g.shape[1]:
         c = g[0, 0]
-        if np.max(np.abs(g - c * np.eye(len(g)))) <= 1e-12 * max(abs(c), 1.0):
+        tol = 1e-12 * max(abs(c), 1.0)
+        # the first row turns a dense Gram away without n x n temporaries
+        if np.max(np.abs(g[0, 1:]), initial=0.0) <= tol \
+                and np.max(np.abs(g - c * np.eye(len(g)))) <= tol:
             return ScaledIdentityOp(len(g), c)
     return DenseOp(g)
 
@@ -492,7 +519,7 @@ def gram(a, b):
     if (isinstance(a, VStackOp) and isinstance(b, VStackOp)
             and [p.rows for p in a.parts] == [p.rows for p in b.parts]):
         return functools.reduce(_add, map(gram, a.parts, b.parts))
-    g = a.self_gram() if a is b and hasattr(a, 'self_gram') else None
+    g = a.self_gram() if a is b else None
     return g if g is not None else _from_array(a.to_dense().T @ b.to_dense())
 
 

@@ -281,7 +281,8 @@ def outer_step(p, s, params, bs, workspaces=None, t0=None):
     ``Problem.apply_A``. Block states carry x_i between iterations, so
     their f and grad f memos keep matching; the trace objective takes f_i
     at z_i through the rolled-forward memo, which holds it when a line
-    search took it. A block run in a working basis returns z_i and
+    search took it (or, on a part with a normal form, the gradient it
+    comes from). A block run in a working basis returns z_i and
     x_i^{k+1} in it; they are mapped out here, and f_i(z_i) is taken in it.
     """
     if workspaces is None:

@@ -27,6 +27,12 @@ class SmoothPart:
     gives it as a cheap ``linops`` Gram value on R^n, or None. ``dim`` is
     the input length, if fixed. The optional ``residual(x)`` gives an r that
     ``value(x, r)`` and ``gradient(x, r)`` accept in place of recomputing it.
+    ``normal``, if not None, is (H, b, c) for a quadratic
+    f(u) = 0.5 <u, H u> - <b, u> + c whose gradient H u - b costs less than
+    its value: the line searches then test the Bregman gap
+    f(v) - f(u) - <grad f(u), v - u> = 0.5 <v - u, grad f(v) - grad f(u)>
+    and take no f value, the gradient takes no ``residual``, and a block
+    takes f(u) = 0.5 <u, grad f(u) - b> + c from its memoized gradient.
     ``in_basis(g)``, if set, is the part in the coordinates Q u of a
     ``linops.Diagonalized`` g, or None when it has no cheap form there.
     """
@@ -34,6 +40,7 @@ class SmoothPart:
     lipschitz = None
     hess_apply = None
     residual = None
+    normal = None
     in_basis = None
     is_zero = False
     hess_gram = None

@@ -6,6 +6,8 @@ clamping) are plain functions; the classes wrap them behind the
 scale t instead of living in separate weighted types.
 """
 
+import functools
+
 import numpy as np
 
 from . import linops
@@ -147,12 +149,16 @@ class ZeroSmooth(SmoothPart):
 class QuadraticLS(SmoothPart):
     """f(u) = 0.5 * ||F u - data||^2 for a LinOp F.
 
-    The gradient is F^T (F u - data). ``residual(u)`` is F u - data; given
-    it, ``value`` and ``gradient`` skip their F apply. ``hess_gram`` is the
-    Hessian F^T F as a Gram value if F is dense or has a structured
-    ``self_gram``, else None (a matrix-free F is never materialized).
-    ``lipschitz`` is the largest eigenvalue of F^T F (power iteration on
-    first use) unless given.
+    For a ``DenseOp`` F no wider than tall, ``normal`` is
+    (H, F^T data, 0.5 ||data||^2) with the Gram H = F^T F, built on first
+    use and kept; F and data must not change from then on. The gradient is
+    then H u - F^T data, one product that reads half of H, where it is
+    otherwise F^T (F u - data) (``normal`` None). ``residual(u)`` is
+    F u - data; given it, ``value`` skips its F apply, and so does
+    ``gradient`` without a normal form. ``hess_gram`` is the Hessian as a
+    Gram value: H, else F's structured ``self_gram``, else None (a
+    matrix-free F is never materialized). ``lipschitz`` is the largest
+    eigenvalue of F^T F (power iteration on first use) unless given.
     """
 
     def __init__(self, F, data, lipschitz=None):
@@ -163,6 +169,14 @@ class QuadraticLS(SmoothPart):
                 f"data length {self.data.size} != operator rows {F.rows}")
         self._lipschitz = None if lipschitz is None else float(lipschitz)
 
+    @functools.cached_property
+    def normal(self):
+        F = self.F
+        if not isinstance(F, linops.DenseOp) or F.cols > F.rows:
+            return None
+        return (F.self_gram(), F.apply_adjoint(self.data),
+                0.5 * float(self.data @ self.data))
+
     def residual(self, x):
         return self.F.apply(x) - self.data
 
@@ -171,10 +185,15 @@ class QuadraticLS(SmoothPart):
         return 0.5 * float(r @ r)
 
     def gradient(self, x, r=None):
+        if self.normal is not None:
+            H, ftd, _ = self.normal
+            return H.apply(x) - ftd
         r = self.F.apply(x) - self.data if r is None else r
         return self.F.apply_adjoint(r)
 
     def hess_apply(self, v):
+        if self.normal is not None:
+            return self.normal[0].apply(v)
         return self.F.apply_adjoint(self.F.apply(v))
 
     @property
@@ -182,14 +201,12 @@ class QuadraticLS(SmoothPart):
         return self.F.cols
 
     def hess_gram(self, n):
-        if isinstance(self.F, linops.DenseOp):
-            return linops.gram(self.F, self.F)
-        return getattr(self.F, 'self_gram', lambda: None)()
+        return self.F.self_gram() if self.normal is None else self.normal[0]
 
     def in_basis(self, g):
         """0.5 ||eig_F v - Q data||^2, this part in the coordinates v = Q u
         of the ``Diagonalized`` g, if F is diagonal on g's basis; else None."""
-        d = getattr(self.F, 'diagonalized', lambda: None)()
+        d = self.F.diagonalized()
         if d is None or d.forward is not g.forward:
             return None
         return QuadraticLS(linops.DiagonalOp(d.eig), g.forward(self.data),

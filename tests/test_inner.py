@@ -436,6 +436,66 @@ def accel_record(ls, n_inner, seed, schedule='adaptive', lipschitz=None):
     return record, zeta, ctx
 
 
+def test_bregman_gap_is_the_value_gap():
+    # f(v) - f(u) - <grad f(u), v - u> = 0.5 <v - u, grad f(v) - grad f(u)>
+    # for a quadratic, at random points and scales
+    rng = np.random.default_rng(7)
+    f = quad_smooth(12, 7, seed=8)
+    for scale in (1e-3, 1.0, 1e3):
+        u = rng.standard_normal(7)
+        v = u + scale * rng.standard_normal(7)
+        gu, gv = f.gradient(u), f.gradient(v)
+        want = f.value(v) - f.value(u) - float(gu @ (v - u))
+        got = inner._gap(v - u, gu, gv)
+        assert got > 0.0
+        assert abs(got - want) <= 1e-12 * (f.value(u) + f.value(v))
+
+
+def test_wide_part_applies_f_once_per_point(monkeypatch):
+    # a 7x12 F has no normal form: its line searches take f values, and
+    # each point costs one F apply; without the residual hook every value
+    # and gradient applies F
+    f = quad_smooth(7, 12, seed=9)
+    assert f.normal is None
+    # delta0 at the Lipschitz constant, so most steps accept their first
+    # trial
+    ls = inner.LineSearchParams(delta_min=f.lipschitz)
+    applies, points = [], []
+    apply = linops.DenseOp.apply
+
+    def counting_apply(op, v):
+        if op is f.F:
+            applies.append(1)
+        return apply(op, v)
+
+    def recording(orig):
+        def record(f, x, *r):
+            points.append(x)    # kept alive, so ids stay distinct
+            return orig(f, x, *r)
+        return record
+
+    monkeypatch.setattr(linops.DenseOp, 'apply', counting_apply)
+    for method in ('value', 'gradient'):
+        monkeypatch.setattr(prox.QuadraticLS, method,
+                            recording(getattr(prox.QuadraticLS, method)))
+
+    def run():
+        applies.clear()
+        points.clear()
+        ctx, bst = one_block(linops.IdentityOp(12), f, prox.ZeroProx(),
+                             relaxed=True, ls=ls, seed=10)
+        res = inner.multistep_loop(ctx, bst, -1.0, inner_cap=200,
+                                   cap_error=False)
+        assert res.inner_iters == 200
+
+    run()
+    distinct = len({id(x) for x in points})
+    assert len(applies) == distinct > 200
+    monkeypatch.setattr(prox.QuadraticLS, 'residual', None)
+    run()
+    assert len(applies) == len(points) > 1.9 * distinct
+
+
 def test_accelerated_adaptive_identities():
     for ls, seed in [(inner.LineSearchParams(), 170),
                      (inner.LineSearchParams(delta_max=50.0), 180)]:

@@ -2,6 +2,8 @@
 
 import copy
 import csv
+import os
+import subprocess
 import sys
 import types
 
@@ -9,7 +11,8 @@ import numpy as np
 import pytest
 
 from bosvs import bench, inner, linops, outer, problem, prox
-from bosvs.errors import (DimensionMismatch, MaxItersReached,
+from bosvs.errors import (DimensionMismatch, InnerIterationCap,
+                          MaxItersReached,
                           MissingReference, NegativeR)
 
 
@@ -198,23 +201,45 @@ def test_solve_builds_each_self_gram_once(monkeypatch):
     assert all(any(c is op for c in calls) for op in own)
 
 
+WIDE_LASSO = bench.LassoConfig(n=150, d=100, seed=0)   # F 100x150
+
+
 def test_bb_seed_reuses_the_previous_gradient(monkeypatch):
-    # one gradient per outer iteration for generalized; multistep takes one
-    # per inner iteration, the BB seed sharing the first inner step's
-    p = bench.make_lasso(bench.LassoConfig(seed=0))
-    calls = []
+    # one gradient per distinct point: the BB seed at x^k reuses the one
+    # taken at x^k and x^{k-1}. Without a normal form (wide F) that is one
+    # per inner iteration, the BB seed sharing the first inner step's; with
+    # one (tall F) every line-search trial takes one at its candidate, the
+    # next step starts from the accepted one, and the trace objective takes
+    # one at a multistep average that is no trial point
+    calls, trials = [], []
     gradient = prox.QuadraticLS.gradient
+    argmin = inner._composite_argmin
 
     def counting_gradient(f, x, *r):
-        calls.append(1)
+        calls.append(x.tobytes())
         return gradient(f, x, *r)
 
+    def counting_argmin(ctx, *args):
+        trials.append(ctx.i)
+        return argmin(ctx, *args)
+
     monkeypatch.setattr(prox.QuadraticLS, 'gradient', counting_gradient)
-    for scheme in ('generalized', 'multistep'):
-        calls.clear()
-        res = outer.solve(p, outer.OuterParams(rho=1.0, scheme=scheme))
-        assert res.iterations > 10
-        assert len(calls) == sum(rec.inner_iters[0] for rec in res.trace)
+    monkeypatch.setattr(inner, '_composite_argmin', counting_argmin)
+    for cfg in (bench.LassoConfig(seed=0), WIDE_LASSO):
+        p = bench.make_lasso(cfg)
+        for scheme in ('generalized', 'multistep'):
+            calls.clear()
+            trials.clear()
+            res = outer.solve(p, outer.OuterParams(rho=1.0, scheme=scheme))
+            assert res.iterations > 10
+            assert len(calls) == len(set(calls))
+            if p.blocks[0].f.normal is None:
+                assert len(calls) == sum(rec.inner_iters[0]
+                                         for rec in res.trace)
+            else:   # plus the gradient at x^1
+                averages = sum(rec.inner_iters[0] > 1 for rec in res.trace) \
+                    if scheme == 'multistep' else 0
+                assert len(calls) == trials.count(0) + 1 + averages
 
 
 def repeated_points(monkeypatch, method, solve):
@@ -259,20 +284,24 @@ def test_accelerated_first_step_reuses_the_gradient_at_x(monkeypatch):
 
 
 def test_steps_reuse_f_at_the_accepted_point(monkeypatch):
-    # the previous line search took f at x^k; the next step starts there
-    p = bench.make_lasso(bench.LassoConfig(n=300, d=400, seed=0))
-    for scheme in ('generalized', 'multistep'):
-        params = outer.OuterParams(rho=1.0, scheme=scheme)
-        assert repeated_points(monkeypatch, 'value',
-                               lambda: outer.solve(p, params)) == 0, scheme
+    # the previous line search took f at x^k; the next step starts there.
+    # Only a part without a normal form (wide F) takes f in a line search
+    for cfg in (bench.LassoConfig(n=300, d=400, seed=0), WIDE_LASSO):
+        p = bench.make_lasso(cfg)
+        for scheme in ('generalized', 'multistep'):
+            params = outer.OuterParams(rho=1.0, scheme=scheme)
+            assert repeated_points(monkeypatch, 'value',
+                                   lambda: outer.solve(p, params)) == 0, \
+                scheme
 
 
 @pytest.mark.parametrize('scheme', ['generalized', 'accelerated'])
 def test_trace_objective_reuses_the_line_search_f(monkeypatch, scheme):
-    # the generalized step and the adaptive accelerated line search took f
-    # at their z; taking it again in the trace objective would cost one
-    # value call per iteration
-    p = bench.make_lasso(bench.LassoConfig(seed=0))
+    # without a normal form (wide F) the generalized step and the adaptive
+    # accelerated line search took f at their z; taking it again in the
+    # trace objective would cost one value call per iteration. With one
+    # (tall F) no f value is taken at all: the trace objective comes from
+    # the memoized gradient, within 1e-13 of the value it replaces
     params = outer.OuterParams(rho=1.0, scheme=scheme)
     calls = []
     value = prox.QuadraticLS.value
@@ -283,17 +312,27 @@ def test_trace_objective_reuses_the_line_search_f(monkeypatch, scheme):
         return value(f, x, *r)
 
     monkeypatch.setattr(prox.QuadraticLS, 'value', counting)
-    runs = []
-    for known in (True, False):
-        if not known:
-            monkeypatch.setattr(outer, 'objective',
-                                lambda p, z, *_: objective(p, z))
-        calls.clear()
-        res = outer.solve(p, params)
-        runs.append((len(calls), [(r.objective, r.e_k) for r in res.trace]))
-    (reused, trace), (taken, trace_taken) = runs
-    assert trace == trace_taken
-    assert taken - reused == len(trace) > 10
+    for cfg in (bench.LassoConfig(seed=0), WIDE_LASSO):
+        p = bench.make_lasso(cfg)
+        runs = []
+        with monkeypatch.context() as m:
+            for known in (True, False):
+                if not known:
+                    m.setattr(outer, 'objective',
+                              lambda p, z, *_: objective(p, z))
+                calls.clear()
+                res = outer.solve(p, params)
+                runs.append((len(calls),
+                             [(r.objective, r.e_k) for r in res.trace]))
+        (reused, trace), (taken, trace_taken) = runs
+        assert taken - reused == len(trace) > 10
+        if p.blocks[0].f.normal is None:
+            assert trace == trace_taken
+        else:
+            assert reused == 0
+            assert [e for _, e in trace] == [e for _, e in trace_taken]
+            for (obj, _), (want, _) in zip(trace, trace_taken):
+                assert abs(obj - want) <= 1e-13 * abs(want)
 
 
 def test_exact_lasso_reaches_the_default_tolerance():
@@ -305,20 +344,51 @@ def test_exact_lasso_reaches_the_default_tolerance():
     assert res.reason == 'converged'
 
 
-def test_inner_iteration_cap_ends_the_run_as_stagnated():
+def run_to_the_inner_cap():
+    """Multistep on lasso 300x400 seed 11 with stop_tol 0: e_k reaches
+    rounding level and block 1's inner loop then hits its cap."""
     p = bench.make_lasso(bench.LassoConfig(n=300, d=400, seed=11))
     params = outer.OuterParams(rho=1.0, scheme='multistep', stop_tol=0.0,
                                max_outer_iters=150)
+    caps = []
+    multistep_loop = outer.multistep_loop
+
+    def recording_loop(ctx, *args):
+        try:
+            return multistep_loop(ctx, *args)
+        except InnerIterationCap as exc:
+            caps.append((ctx.k, exc.block, exc.cap))
+            raise
+
+    outer.multistep_loop = recording_loop
     last = []
     res = outer.solve(p, params,
                       callbacks=[lambda s, rec: last.append(
                           (s.x.copy(), s.y.copy(), s.z.copy(),
                            s.lam.copy()))])
     assert res.reason == 'stagnated' and not res.converged
-    assert res.iterations == len(last) == 117
+    # the iteration after the last completed one hit the cap, once
+    assert caps == [(len(last) + 1, 1, 10000)]
+    assert res.iterations == len(last) == 116
     assert res.trace[-1].e_k < 1e-12
     for got, want in zip((res.x, res.y, res.z, res.lam), last[-1]):
         assert np.array_equal(got, want)
+
+
+def test_inner_iteration_cap_ends_the_run_as_stagnated():
+    # which iteration hits the cap follows the rounding, and BLAS symv and
+    # syrk split their sums by thread count; so the run takes one BLAS
+    # thread, as tools/trace_digest.py and perfbench do
+    env = dict(os.environ, OPENBLAS_NUM_THREADS='1', OMP_NUM_THREADS='1',
+               MKL_NUM_THREADS='1')
+    paths = [os.path.dirname(os.path.dirname(os.path.abspath(
+        bench.__file__))), os.path.dirname(os.path.abspath(__file__))]
+    proc = subprocess.run(
+        [sys.executable, '-c',
+         f'import sys; sys.path[:0] = {paths!r}; import test_outer; '
+         'test_outer.run_to_the_inner_cap()'],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize('scheme', ['generalized', 'multistep',
@@ -339,7 +409,9 @@ def test_diverged_run_keeps_the_last_completed_iterates():
     def poison_after_three(s, rec):
         last.append((s.x.copy(), s.y.copy(), s.z.copy(), s.lam.copy()))
         if rec.k == 3:
-            p.blocks[0].f.data[3] = np.nan
+            # through b: the part's normal form keeps the data it was
+            # built from
+            p.b[3] = np.nan
 
     res = outer.solve(p, outer.OuterParams(rho=1.0, scheme='generalized',
                                            stop_tol=0.0),
@@ -481,56 +553,72 @@ def test_basis_block_costs_at_most_three_dcts_and_one_blur(monkeypatch):
 @pytest.mark.parametrize('family', ['lasso', 'deblur'])
 def test_residual_reuse_keeps_traces_bitwise(monkeypatch, family):
     # value and gradient at one point share F u - data through the block
-    # memo; without the hook each recomputes it, with the same bits
+    # memo; without the hook each recomputes it, with the same bits. A wide
+    # lasso F has no normal form, so its line searches take f values too
     if family == 'lasso':
-        p, rho, tol = bench.make_lasso(bench.LassoConfig(seed=0)), 1.0, None
+        problems = [bench.make_lasso(cfg) for cfg in
+                    (bench.LassoConfig(seed=0), WIDE_LASSO)]
+        rho, tol = 1.0, None
     else:
-        p, rho, tol = (bench.make_deblur(bench.DeblurConfig(size=8)), 5e-4,
-                       1e-3)
+        problems = [bench.make_deblur(bench.DeblurConfig(size=8))]
+        rho, tol = 5e-4, 1e-3
 
-    def run(scheme):
+    def run(p, scheme):
         res = outer.solve(p, outer.OuterParams(rho=rho, scheme=scheme,
                                                stop_tol=tol))
         assert res.iterations > 10
         return ([(r.objective, r.e_k, r.primal_res, r.deltas, r.inner_iters)
                  for r in res.trace], res.solution.tobytes())
 
-    for scheme in ('generalized', 'multistep', 'accelerated'):
-        reused = run(scheme)
-        with monkeypatch.context() as m:
-            m.setattr(prox.QuadraticLS, 'residual', None)
-            assert run(scheme) == reused, scheme
+    for p in problems:
+        for scheme in ('generalized', 'multistep', 'accelerated'):
+            reused = run(p, scheme)
+            with monkeypatch.context() as m:
+                m.setattr(prox.QuadraticLS, 'residual', None)
+                assert run(p, scheme) == reused, scheme
 
 
 def test_multistep_applies_f_once_per_point(monkeypatch):
+    # with a normal form each distinct gradient point costs one H product,
+    # and F is never applied: not inside a line search and not for the
+    # trace objective's f(z_1) (a wide F keeps one F apply per point:
+    # test_inner)
     p = bench.make_lasso(bench.LassoConfig(seed=0))
-    params = outer.OuterParams(rho=1.0, scheme='multistep')
+    f = p.blocks[0].f
     applies, points = [], []
     apply = linops.DenseOp.apply
+    gradient = prox.QuadraticLS.gradient
 
     def counting_apply(op, v):
-        applies.append(1)
+        applies.append(op)
         return apply(op, v)
 
-    def recording(orig):
-        def record(f, x, *r):
-            points.append(x)    # kept alive, so ids stay distinct
-            return orig(f, x, *r)
-        return record
+    def recording(f, x, *r):
+        points.append(x.tobytes())
+        return gradient(f, x, *r)
 
     monkeypatch.setattr(linops.DenseOp, 'apply', counting_apply)
-    for method in ('value', 'gradient'):
-        monkeypatch.setattr(prox.QuadraticLS, method,
-                            recording(getattr(prox.QuadraticLS, method)))
-    outer.solve(p, params)
-    distinct = len({id(x) for x in points})
-    assert len(applies) == distinct
-    # without the residual hook every value and gradient applies F
-    monkeypatch.setattr(prox.QuadraticLS, 'residual', None)
-    applies.clear()
-    points.clear()
-    outer.solve(p, params)
-    assert len(applies) == len(points) > 1.9 * distinct
+    monkeypatch.setattr(prox.QuadraticLS, 'gradient', recording)
+    res = outer.solve(p, outer.OuterParams(rho=1.0, scheme='multistep'))
+    assert len(points) == len(set(points)) > 1000
+    assert res.converged
+    assert [op is f.normal[0] for op in applies] == [True] * len(points)
+
+
+def test_lasso_multistep_takes_no_adjoint_product(monkeypatch):
+    # the only F^T product is the normal form's F^T data
+    p = bench.make_lasso(bench.LassoConfig(seed=0))
+    calls = []
+    adjoint = linops.DenseOp.apply_adjoint
+
+    def recording(op, w):
+        calls.append(w)
+        return adjoint(op, w)
+
+    monkeypatch.setattr(linops.DenseOp, 'apply_adjoint', recording)
+    res = outer.solve(p, outer.OuterParams(rho=1.0, scheme='multistep'))
+    assert res.converged
+    assert [w is p.blocks[0].f.data for w in calls] == [True]
 
 
 def test_solve_converges_on_easy_problem():

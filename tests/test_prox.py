@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bosvs.errors import DimensionMismatch, EmptyBox, NegativeThreshold
+from bosvs.inner import BlockState
 from bosvs.prox import (BoxIndicator, GroupL2, QuadraticLS, ScaledL1,
                         ZeroProx, ZeroSmooth, box_clamp, group_shrink,
                         soft_threshold)
@@ -147,25 +148,57 @@ def test_zero_parts():
 
 
 def test_quadratic_ls_parts():
+    # 12x7 takes its gradient from the normal form, 7x12 (wide) from F
     rng = np.random.default_rng(5)
+    for shape in ((12, 7), (7, 12)):
+        a = rng.standard_normal(shape)
+        data = rng.standard_normal(shape[0])
+        f = QuadraticLS(DenseOp(a), data)
+        assert (f.normal is None) == (shape[1] > shape[0])
+        x = rng.standard_normal(shape[1])
+        want_val = 0.5 * float(np.sum((a @ x - data) ** 2))
+        assert abs(f.value(x) - want_val) <= 1e-12 * (1.0 + abs(want_val))
+        assert np.allclose(f.gradient(x), a.T @ (a @ x - data), atol=1e-12)
+        assert np.allclose(f.hess_apply(x), a.T @ (a @ x), atol=1e-12)
+        assert np.allclose(f.hess_gram(shape[1]).to_dense(), a.T @ a,
+                           rtol=0, atol=1e-12)
+        r = f.residual(x)
+        assert np.allclose(r, a @ x - data, atol=1e-12)
+        assert f.value(x, r) == f.value(x)
+        assert np.array_equal(f.gradient(x, r), f.gradient(x))
+        lam_max = float(np.linalg.eigvalsh(a.T @ a)[-1])
+        assert abs(f.lipschitz - lam_max) <= 1e-8 * lam_max
+        assert not f.is_zero
+    assert ZeroSmooth.residual is None and ZeroSmooth.normal is None
+    with pytest.raises(DimensionMismatch):
+        QuadraticLS(DenseOp(a), np.zeros(5))
+
+
+def test_quadratic_ls_gradient_from_the_normal_form(monkeypatch):
+    # on a 12x7 dense part the gradient is H x - F^T data, built once from
+    # F, and agrees with F^T (F x - data); the exact scheme's Gram is H, and
+    # a block's memo takes f from the gradient without calling value
+    rng = np.random.default_rng(6)
     a = rng.standard_normal((12, 7))
     data = rng.standard_normal(12)
     f = QuadraticLS(DenseOp(a), data)
-    x = rng.standard_normal(7)
-    want_val = 0.5 * float(np.sum((a @ x - data) ** 2))
-    assert abs(f.value(x) - want_val) <= 1e-12 * (1.0 + abs(want_val))
-    assert np.allclose(f.gradient(x), a.T @ (a @ x - data), atol=1e-12)
-    assert np.allclose(f.hess_apply(x), a.T @ (a @ x), atol=1e-12)
-    r = f.residual(x)
-    assert np.allclose(r, a @ x - data, atol=1e-12)
-    assert f.value(x, r) == f.value(x)
-    assert np.array_equal(f.gradient(x, r), f.gradient(x))
-    assert ZeroSmooth.residual is None
-    lam_max = float(np.linalg.eigvalsh(a.T @ a)[-1])
-    assert abs(f.lipschitz - lam_max) <= 1e-8 * lam_max
-    assert not f.is_zero
-    with pytest.raises(DimensionMismatch):
-        QuadraticLS(DenseOp(a), np.zeros(5))
+    H = f.normal[0]
+    assert f.normal is f.normal and f.hess_gram(7) is H
+    # exactly symmetric, so its products read one triangle
+    assert H._symmetric and np.array_equal(H.to_dense(), H.to_dense().T)
+    calls = []
+    monkeypatch.setattr(DenseOp, 'apply_adjoint',
+                        lambda op, w: calls.append(op))
+    monkeypatch.setattr(QuadraticLS, 'value', None)
+    for _ in range(5):
+        x = rng.standard_normal(7)
+        want = a.T @ (a @ x - data)
+        assert np.max(np.abs(f.gradient(x) - want)) <= 1e-12
+        assert np.array_equal(f.hess_apply(x), H.apply(x))
+        r = a @ x - data
+        fx = BlockState(x, 1.0).value(f, x)
+        assert abs(fx - 0.5 * float(r @ r)) <= 1e-12 * float(r @ r)
+    assert calls == []
 
 
 def test_quadratic_ls_explicit_lipschitz_is_kept():

@@ -11,7 +11,7 @@ TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 LINE = re.compile(r'(lasso20x30-0|deblur8) '
                   r'(generalized|multistep|accelerated|exact) '
                   r'(converged|max_iters|stagnated|diverged|callback) '
-                  r'\d+ [0-9a-f]{64}')
+                  r'\d+ \d+ [0-9a-f]{64}')
 
 
 def test_quick_digest_prints_one_line_per_solve():
