@@ -154,14 +154,12 @@ def ista_oracle(F, data, beta, tol=1e-10, maxit=200000):
     the unit-scale fixed-point residual ||u - prox(u - grad, beta)||
     drops below tol; raises MaxItersReached otherwise.
     """
-    if not hasattr(F, 'apply'):
-        F = DenseOp(np.asarray(F, dtype=float))
-    f = QuadraticLS(F, data)
+    f = QuadraticLS(DenseOp(np.asarray(F, dtype=float)), data)
     L = f.lipschitz
     if L <= 0.0:
-        return np.zeros(F.cols)
+        return np.zeros(f.F.cols)
     t = 1.0 / L
-    u = np.zeros(F.cols)
+    u = np.zeros(f.F.cols)
     for _ in range(maxit):
         g = f.gradient(u)
         if np.linalg.norm(u - soft_threshold(u - g, beta)) <= tol:

@@ -18,7 +18,8 @@ outer iteration:
   f = 0 and Gram = c I, c > 0.
 
 The three inexact schemes share one backtracking search over
-delta0 * eta**j (``_line_search``); the generalized step is one
+delta0 * eta**j (``_line_search``) and one sufficient-decrease test
+(``BlockState.descent``); the generalized step is one
 ``_linearized_step``, the multistep loop iterates it, and both inner
 loops end through ``_run_inner``.
 
@@ -160,6 +161,19 @@ class BlockState:
         """grad f(u), memoized with f(u)."""
         return self._memoized(f, u, 2, f.gradient)
 
+    def descent(self, f, u, g):
+        """A line search's sufficient-decrease test from u, g = grad f(u):
+        passes(d, v, bound, slack) at the trial v = u + d. A part with a
+        ``normal`` form tests ``_gap(d, g, grad f(v)) <= bound + slack``
+        (no f); any other f(u) + <g, d> + bound >= f(v) - slack, taking
+        f(u) once."""
+        if f.normal is not None:
+            return lambda d, v, bound, slack: \
+                _gap(d, g, self.gradient(f, v)) <= bound + slack
+        fu = self.value(f, u)
+        return lambda d, v, bound, slack: \
+            fu + float(g @ d) + bound >= self.value(f, v) - slack
+
 
 class BlockWorkspace:
     """One block's Gram value A^T A (``linops.gram``, unless the caller
@@ -177,7 +191,7 @@ class BlockWorkspace:
         self.to_basis = self.from_basis = np.asarray
         fb = block.f.in_basis(g) if block is not None and block.f.in_basis \
             and isinstance(g, linops.Diagonalized) \
-            and getattr(block.h, 'is_zero', False) else None
+            and block.h.is_zero else None
         if fb is not None:
             self.block = Block(A, fb, block.h)
             self._gram = linops.DiagonalOp(g.eig)
@@ -265,7 +279,7 @@ def _composite_argmin(ctx, grad_vec, center, delta):
     + (rho/2)||A u - c_vec||^2 over the solvable classes."""
     rho = ctx.rho
     rhs = delta * center - grad_vec + ctx.adjoint_c()[1]
-    if getattr(ctx.block.h, 'is_zero', False):
+    if ctx.block.h.is_zero:
         return ctx.workspace.solve_shifted(delta, rho, rhs)
     c = ctx.workspace.identity_multiple()
     if c is not None and c > 0.0:
@@ -293,28 +307,21 @@ def _gap(d, g_u, g_v):
 def _linearized_step(ctx, bst, u, delta0, slack):
     """Backtracked linearized step from u, with g = grad f(u).
 
-    Accepts the first trial delta whose candidate u + d satisfies
-    f(u) + <g, d> + (1 - sigma) delta ||d||^2 / 2
-    >= f(u + d) - slack(delta). A part with a ``normal`` form tests the
-    same inequality on the gap ``_gap(d, g, grad f(u + d))``, so it takes
-    a gradient per trial and no f. Returns (u + d, ||d||^2, delta).
+    Accepts the first trial delta whose candidate u + d passes the block's
+    sufficient-decrease test (``BlockState.descent``) with bound
+    (1 - sigma) delta ||d||^2 / 2 and slack(delta). Returns
+    (u + d, ||d||^2, delta).
     """
     f = ctx.block.f
     sig = 1.0 - ctx.ls.sigma
-    quad = f.normal is not None
-    fu, g = None if quad else bst.value(f, u), bst.gradient(f, u)
+    g = bst.gradient(f, u)
+    passes = bst.descent(f, u, g)
 
     def trial(delta):
         cand = _composite_argmin(ctx, g, u, delta)
         d = cand - u
         dd = float(d @ d)
-        if quad:
-            ok = _gap(d, g, bst.gradient(f, cand)) \
-                <= 0.5 * sig * delta * dd + slack(delta)
-        else:
-            ok = fu + float(g @ d) + 0.5 * sig * delta * dd \
-                >= bst.value(f, cand) - slack(delta)
-        if ok:
+        if passes(d, cand, 0.5 * sig * delta * dd, slack(delta)):
             return cand, dd, delta
 
     return _line_search(ctx, delta0, trial)
@@ -405,7 +412,6 @@ def multistep_loop(ctx, bst, psi_val, record=None,
 def _accelerated_iterates(ctx, bst, delta1):
     f = ctx.block.f
     sig = 1.0 - ctx.ls.sigma
-    quad = f.normal is not None
     u = a = bst.x
     gamma = 0.0
 
@@ -432,15 +438,9 @@ def _accelerated_iterates(ctx, bst, delta1):
             abar, gbar, u_new, a_new = point(alpha, delta)
             step = a_new - abar
             ss = float(step @ step)
-            slack = eps * gamma_trial ** power
-            if quad:
-                ok = _gap(step, gbar, bst.gradient(f, a_new)) \
-                    <= 0.5 * sig * (delta / alpha) * ss + slack
-            else:
-                ok = bst.value(f, abar) + float(gbar @ step) \
-                    + 0.5 * sig * (delta / alpha) * ss \
-                    >= bst.value(f, a_new) - slack
-            if ok:
+            if bst.descent(f, abar, gbar)(
+                    step, a_new, 0.5 * sig * (delta / alpha) * ss,
+                    eps * gamma_trial ** power):
                 return delta, alpha, gamma_trial, u_new, a_new
 
     l = 0
@@ -500,7 +500,7 @@ def exact_block_solve(ctx, bst, cg_tol=1e-6, cg_maxit=100000):
     f = ctx.block.f
     rho = ctx.rho
     n = ctx.block.dim
-    if getattr(h, 'is_zero', False):
+    if h.is_zero:
         solve, g0 = ctx.workspace.system(f, rho)
         rhs = ctx.adjoint_c()[1] - g0
         if solve is not None:
@@ -520,7 +520,7 @@ def exact_block_solve(ctx, bst, cg_tol=1e-6, cg_maxit=100000):
             raise CGNotConverged(cg_maxit)
         return InnerResult(u, u, 0.0, np.inf, max(len(iters), 1), np.nan)
     c = ctx.workspace.identity_multiple()
-    if c is not None and c > 0.0 and getattr(f, 'is_zero', False):
+    if c is not None and c > 0.0 and f.is_zero:
         u = h.prox(ctx.adjoint_c()[0] / c, 1.0 / (rho * c))
         return InnerResult(u, u, 0.0, np.inf, 1, np.nan)
     raise UnsupportedSubproblem(ctx.i + 1)

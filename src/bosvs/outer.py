@@ -218,12 +218,15 @@ def error_measure(theta, z, y, r_list, p, primal_vec=None):
                  + t3 * np.sqrt(r_arr.sum()))
 
 
-def energy_E(p, state, rho, alpha, reference, bs, mode='multistep'):
+def energy_E(p, state, rho, alpha, reference, bs):
     """Merit function against a reference pair (x*, lam*).
 
-    rho * ||y_+ - x*_+||_P^2 + (1/rho) ||lam - lam*||^2 plus alpha times
-    either sum_i delta_i ||x_i - x*_i||^2 (mode 'generalized') or
-    sum_i ||x_i - x*_i||^2 / Gamma_i (mode 'multistep'); P = M H^{-1} M^T.
+    rho * ||y_+ - x*_+||_P^2 + (1/rho) ||lam - lam*||^2
+    + alpha sum_i ||x_i - x*_i||^2 / Gamma_i, with P = M H^{-1} M^T and
+    Gamma_i each block's accumulated weight: 1/delta_i for the generalized
+    step, so its term is delta_i ||x_i - x*_i||^2, and +inf for an exact
+    block, which drops out. Gamma_i = 0 (no inner step yet) raises
+    MissingReference.
     """
     if reference is None:
         raise MissingReference("energy_E needs a reference pair")
@@ -234,20 +237,12 @@ def energy_E(p, state, rho, alpha, reference, bs, mode='multistep'):
     pterm = bs.p_quadratic(state.y[off1:] - x_star[off1:]) if p.m > 1 else 0.0
     dl = state.lam - lam_star
     out = rho * pterm + float(dl @ dl) / rho
-    for i in range(p.m):
-        sl = p.block_slice(i)
-        d = state.x[sl] - x_star[sl]
-        dd = float(d @ d)
-        if mode == 'generalized':
-            delta = state.deltas[i]
-            if delta is None:
-                raise MissingReference("no accepted delta recorded yet")
-            out += alpha * delta * dd
-        elif mode == 'multistep':
-            g = state.Gammas[i]
-            out += 0.0 if g == np.inf else alpha * dd / g
-        else:
-            raise ValueError(f"unknown energy mode {mode!r}")
+    for i, g in enumerate(state.Gammas):
+        if g == 0.0:
+            raise MissingReference("no inner step taken yet")
+        if g != np.inf:
+            d = state.x[p.block_slice(i)] - x_star[p.block_slice(i)]
+            out += alpha * float(d @ d) / g
     return float(out)
 
 
@@ -318,10 +313,7 @@ def outer_step(p, s, params, bs, workspaces=None, t0=None):
     e = error_measure(params.thetas, z, s.y, r_list, p, primal_vec)
     E = None
     if params.reference is not None:
-        mode = 'generalized' if params.scheme == 'generalized' \
-            else 'multistep'
-        E = energy_E(p, s, params.rho, params.alpha, params.reference,
-                     bs, mode)
+        E = energy_E(p, s, params.rho, params.alpha, params.reference, bs)
     rec = TraceRecord(s.k, time.perf_counter() - t0, objective(p, z, f_known),
                       e, np.linalg.norm(primal_vec), E,
                       [res.inner_iters for res in results], s.deltas,

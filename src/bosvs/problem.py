@@ -29,10 +29,12 @@ class SmoothPart:
     ``value(x, r)`` and ``gradient(x, r)`` accept in place of recomputing it.
     ``normal``, if not None, is (H, b, c) for a quadratic
     f(u) = 0.5 <u, H u> - <b, u> + c whose gradient H u - b costs less than
-    its value: the line searches then test the Bregman gap
+    its value: the line searches' sufficient-decrease test
+    (``inner.BlockState.descent``) then checks the Bregman gap
     f(v) - f(u) - <grad f(u), v - u> = 0.5 <v - u, grad f(v) - grad f(u)>
-    and take no f value, the gradient takes no ``residual``, and a block
+    and takes no f value, the gradient takes no ``residual``, and a block
     takes f(u) = 0.5 <u, grad f(u) - b> + c from its memoized gradient.
+    ``is_zero`` marks f = 0.
     ``in_basis(g)``, if set, is the part in the coordinates Q u of a
     ``linops.Diagonalized`` g, or None when it has no cheap form there.
     """

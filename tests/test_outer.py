@@ -687,8 +687,8 @@ def test_energy_formula_and_modes():
     lam_star = rng.standard_normal(p.rows)
     state = types.SimpleNamespace(
         x=rng.standard_normal(p.n), y=rng.standard_normal(p.n),
-        lam=rng.standard_normal(p.rows),
-        deltas=[0.5, 2.0, 1.25], Gammas=[2.0, 0.5, 0.8])
+        lam=rng.standard_normal(p.rows), Gammas=[2.0, 0.5, 0.8])
+    deltas = [0.5, 2.0, 1.25]
     rho, alpha = 0.8, 0.99
     dl = state.lam - lam_star
     base = rho * bs.p_quadratic(state.y[off1:] - x_star[off1:]) \
@@ -697,30 +697,27 @@ def test_energy_formula_and_modes():
     ms = base
     for i in range(p.m):
         d = state.x[p.block_slice(i)] - x_star[p.block_slice(i)]
-        gen += alpha * state.deltas[i] * float(d @ d)
+        gen += alpha * deltas[i] * float(d @ d)
         ms += alpha * float(d @ d) / state.Gammas[i]
-    got_gen = outer.energy_E(p, state, rho, alpha, (x_star, lam_star), bs,
-                             mode='generalized')
-    got_ms = outer.energy_E(p, state, rho, alpha, (x_star, lam_star), bs,
-                            mode='multistep')
-    assert got_gen == pytest.approx(gen, rel=1e-12)
+    got_ms = outer.energy_E(p, state, rho, alpha, (x_star, lam_star), bs)
     assert got_ms == pytest.approx(ms, rel=1e-12)
+    # the generalized step's weight Gamma = 1/delta gives the delta-weighted
+    # form
+    state.Gammas = [1.0 / d for d in deltas]
+    got_gen = outer.energy_E(p, state, rho, alpha, (x_star, lam_star), bs)
+    assert got_gen == pytest.approx(gen, rel=1e-12)
     # infinite weight (exact baseline) drops the block from the sum
     state.Gammas = [np.inf, 0.5, 0.8]
-    drop = outer.energy_E(p, state, rho, alpha, (x_star, lam_star), bs,
-                          mode='multistep')
+    drop = outer.energy_E(p, state, rho, alpha, (x_star, lam_star), bs)
     d0 = state.x[p.block_slice(0)] - x_star[p.block_slice(0)]
     assert drop == pytest.approx(ms - alpha * float(d0 @ d0) / 2.0,
                                  rel=1e-12)
     with pytest.raises(MissingReference):
         outer.energy_E(p, state, rho, alpha, None, bs)
-    state.deltas = [None, 2.0, 1.25]
+    # no inner step taken yet
+    state.Gammas = [0.0, 0.5, 0.8]
     with pytest.raises(MissingReference):
-        outer.energy_E(p, state, rho, alpha, (x_star, lam_star), bs,
-                       mode='generalized')
-    with pytest.raises(ValueError):
-        outer.energy_E(p, state, rho, alpha, (x_star, lam_star), bs,
-                       mode='entropy')
+        outer.energy_E(p, state, rho, alpha, (x_star, lam_star), bs)
 
 
 def test_trace_reports_energy_from_entering_state():
@@ -734,10 +731,11 @@ def test_trace_reports_energy_from_entering_state():
     s = outer.OuterState(p, params)
     x0, y0, lam0 = s.x.copy(), s.y.copy(), s.lam.copy()
     s, rec = outer.outer_step(p, s, params, bs)
-    snap = types.SimpleNamespace(x=x0, y=y0, lam=lam0, deltas=rec.deltas,
-                                 Gammas=rec.gammas)
+    # the generalized step's weight is 1/delta
+    assert rec.gammas == [1.0 / d for d in rec.deltas]
+    snap = types.SimpleNamespace(x=x0, y=y0, lam=lam0, Gammas=rec.gammas)
     expect = outer.energy_E(p, snap, params.rho, params.alpha,
-                            (x_star, lam_star), bs, mode='generalized')
+                            (x_star, lam_star), bs)
     assert rec.E_k == pytest.approx(expect, rel=1e-13)
 
 
