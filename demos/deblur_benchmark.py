@@ -32,9 +32,9 @@ def psnr(u):
     return 10.0 * np.log10(truth.max() ** 2 / err)
 
 
-# The observed data lives in the first 1024 rows of the stacked
-# constraint; it is the blurred phantom plus noise.
-blurred = p.meta['data'][:cfg.size * cfg.size]
+# The observation is the data of block 1's fit term (the constraint's
+# right-hand side is zero): the blurred phantom plus noise.
+blurred = p.meta['data']
 print('observation PSNR: %.2f dB' % psnr(blurred))
 
 # The benchmark penalty is small, so single iterations are cheap but

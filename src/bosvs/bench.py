@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BadDims, MaxItersReached
 from .linops import (BlurOperator, DenseOp, DiffOperator, HaarTransform,
                      IdentityOp, NegIdentityOp, VStackOp, ZeroOp)
-from .outer import OuterParams, solve, write_summary, write_trace_csv
+from .outer import ALPHA, OuterParams, solve, write_summary, write_trace_csv
 from .problem import Block, Problem
 from .prox import (GroupL2, QuadraticLS, ScaledL1, ZeroProx, ZeroSmooth,
                    soft_threshold)
@@ -27,7 +27,8 @@ __all__ = ['DeblurConfig', 'LassoConfig', 'phantom', 'make_deblur',
            'REFERENCE_CAP']
 
 REFERENCE_CAP = 50000
-REFERENCE_WINDOW = 4
+REFERENCE_WINDOW = 4     # iterations the stable digits must hold over
+ISTA_MAXIT = 200000      # iteration cap of ista_oracle
 
 
 class DeblurConfig:
@@ -147,12 +148,12 @@ def make_lasso(cfg):
     return Problem(blocks, np.zeros(cfg.n), meta=meta)
 
 
-def ista_oracle(F, data, beta, tol=1e-10, maxit=200000):
+def ista_oracle(F, data, beta, tol=1e-10):
     """Proximal-gradient reference for min 0.5||Fu - f||^2 + beta||u||_1.
 
     Fixed stepsize 1/L with L the largest eigenvalue of F^T F. Stops when
     the unit-scale fixed-point residual ||u - prox(u - grad, beta)||
-    drops below tol; raises MaxItersReached otherwise.
+    drops below tol; raises MaxItersReached after ISTA_MAXIT iterations.
     """
     f = QuadraticLS(DenseOp(np.asarray(F, dtype=float)), data)
     L = f.lipschitz
@@ -160,30 +161,31 @@ def ista_oracle(F, data, beta, tol=1e-10, maxit=200000):
         return np.zeros(f.F.cols)
     t = 1.0 / L
     u = np.zeros(f.F.cols)
-    for _ in range(maxit):
+    for _ in range(ISTA_MAXIT):
         g = f.gradient(u)
         if np.linalg.norm(u - soft_threshold(u - g, beta)) <= tol:
             return u
         u = soft_threshold(u - t * g, t * beta)
-    raise MaxItersReached(message=f"ista_oracle: no convergence in {maxit}")
+    raise MaxItersReached(
+        message=f"ista_oracle: no convergence in {ISTA_MAXIT}")
 
 
-def _stable_digits_callback(window=REFERENCE_WINDOW):
+def _stable_digits_callback():
     seen = []
 
     def cb(_state, rec):
         seen.append(f"{rec.objective:.7e}")
-        return len(seen) >= window and len(set(seen[-window:])) == 1
+        return seen[-REFERENCE_WINDOW:] == [seen[-1]] * REFERENCE_WINDOW
 
     return cb
 
 
-def refsolve(p, rho, alpha=0.999, cap=REFERENCE_CAP):
+def refsolve(p, rho, alpha=ALPHA, cap=REFERENCE_CAP):
     """Reference objective by the accelerated refinement protocol.
 
     Runs the accelerated scheme until the objective's first eight
-    significant digits stay unchanged over four consecutive iterations
-    (cap 50000). Returns the SolveResult, whose final objective is phi_star.
+    significant digits hold over REFERENCE_WINDOW iterations, at most
+    ``cap`` in all. Returns the SolveResult; its final objective is phi_star.
     """
     params = OuterParams(rho=rho, alpha=alpha, scheme='accelerated',
                          stop_tol=0.0, max_outer_iters=cap)

@@ -5,9 +5,9 @@ deblur`` / ``bench lasso`` generate an instance, save it, and run one or
 all schemes on it against the final objective of a ``refsolve`` run
 (deblur) or the ISTA oracle's (lasso); ``refsolve`` runs the accelerated
 refinement protocol (``--summary`` adds ``phi_star`` to the ``solve``
-summary). Exit code 0 on convergence (for ``refsolve``, also when its
-stable-digits rule ends the run), 2 when a run stopped short of it, 1 on
-any other error.
+summary). A flag left out takes the library's default. Exit code 0 on
+convergence (for ``refsolve``, also when its stable-digits rule ends
+the run), 2 when a run stopped short of it, 1 on any other error.
 """
 
 import argparse
@@ -17,8 +17,8 @@ import sys
 
 import numpy as np
 
-from .bench import (DeblurConfig, LassoConfig, REFERENCE_CAP, ista_oracle,
-                    make_deblur, make_lasso, refsolve, run_benchmark)
+from .bench import (DeblurConfig, LassoConfig, ista_oracle, make_deblur,
+                    make_lasso, refsolve, run_benchmark)
 from .errors import MaxItersReached, SolverError
 from .inner import ACCEL_SCHEDULES, RelaxationParams
 from .outer import SCHEMES, OuterParams, solve, write_summary, write_trace_csv
@@ -35,27 +35,30 @@ def _bool(text):
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
+def _given(args, *names):
+    """The flags among ``names`` given; one left out (None) is not passed."""
+    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+
+
 def _build_params(args, scheme):
     return OuterParams(
-        rho=args.rho, alpha=args.alpha, scheme=scheme,
-        accel_schedule=args.accel_schedule,
-        relax=RelaxationParams(enabled=args.relaxed),
-        stop_tol=args.tol, max_outer_iters=args.max_iters)
+        scheme=scheme, relax=RelaxationParams(**_given(args, 'enabled')),
+        **_given(args, 'rho', 'alpha', 'accel_schedule', 'stop_tol',
+                 'max_outer_iters'))
 
 
 def _add_common(sp, rho_default=None, tol_default=None):
     sp.add_argument('--rho', type=float, required=rho_default is None,
                     default=rho_default, help='penalty parameter')
-    sp.add_argument('--alpha', type=float, default=0.999,
+    sp.add_argument('--alpha', type=float,
                     help='correction stepsize in (0, 1)')
-    shown = 'scaled 1e-8' if tol_default is None else f'{tol_default:g}'
-    sp.add_argument('--tol', type=float, default=tol_default,
-                    help=f'stopping tolerance on e_k (default: {shown})')
-    sp.add_argument('--max-iters', type=int, default=100000)
-    sp.add_argument('--relaxed', type=_bool, default=True,
+    shown = '' if tol_default is None else f' (default: {tol_default:g})'
+    sp.add_argument('--tol', dest='stop_tol', type=float, default=tol_default,
+                    help=f'stopping tolerance on e_k{shown}')
+    sp.add_argument('--max-iters', dest='max_outer_iters', type=int)
+    sp.add_argument('--relaxed', dest='enabled', type=_bool, metavar='BOOL',
                     help='practical stopping/line-search slack (true/false)')
-    sp.add_argument('--accel-schedule', choices=ACCEL_SCHEDULES,
-                    default='adaptive')
+    sp.add_argument('--accel-schedule', choices=ACCEL_SCHEDULES)
 
 
 def _last(result, what):
@@ -96,19 +99,17 @@ def _bench_run_matrix(p, args, phi_star):
 
 
 def _cmd_bench_deblur(args):
-    cfg = DeblurConfig(size=args.size, blur_size=args.blur, snr_db=args.snr,
-                       alpha_tv=args.alpha_tv, beta_wav=args.beta_wav,
-                       seed=args.seed, haar_levels=args.haar_levels)
-    p = make_deblur(cfg)
+    p = make_deblur(DeblurConfig(**_given(
+        args, 'size', 'blur_size', 'snr_db', 'alpha_tv', 'beta_wav', 'seed',
+        'haar_levels')))
     ref = refsolve(p, args.rho if args.ref_rho is None else args.ref_rho,
-                   args.alpha)
+                   **_given(args, 'alpha'))
     return _bench_run_matrix(p, args, _last(ref, 'reference run').objective)
 
 
 def _cmd_bench_lasso(args):
-    cfg = LassoConfig(n=args.n, d=args.d, nnz=args.nnz,
-                      noise_std=args.noise_std, beta=args.beta,
-                      seed=args.seed)
+    cfg = LassoConfig(**_given(args, 'n', 'd', 'nnz', 'noise_std', 'beta',
+                               'seed'))
     p = make_lasso(cfg)
     u = ista_oracle(p.meta['design'], p.meta['data'], cfg.beta)
     phi_star = objective(p, np.concatenate([u, u]))
@@ -122,7 +123,7 @@ def _cmd_bench_lasso(args):
 
 def _cmd_refsolve(args):
     p = load_problem(args.problem)
-    result = refsolve(p, args.rho, args.alpha, cap=args.cap)
+    result = refsolve(p, args.rho, **_given(args, 'alpha', 'cap'))
     if args.summary:
         write_summary(result, args.summary,
                       extra={'phi_star': result.final_objective})
@@ -150,30 +151,30 @@ def build_parser():
     bsub = bench.add_subparsers(dest='family', required=True)
 
     bd = bsub.add_parser('deblur', help='image deblurring benchmark')
-    bd.add_argument('--size', type=int, default=32)
-    bd.add_argument('--seed', type=int, default=0)
-    bd.add_argument('--blur', type=int, default=3)
-    bd.add_argument('--snr', type=float, default=40.0)
-    bd.add_argument('--alpha-tv', type=float, default=0.005)
-    bd.add_argument('--beta-wav', type=float, default=0.001)
-    bd.add_argument('--haar-levels', type=int, default=None)
+    bd.add_argument('--size', type=int)
+    bd.add_argument('--seed', type=int)
+    bd.add_argument('--blur', dest='blur_size', type=int)
+    bd.add_argument('--snr', dest='snr_db', type=float)
+    bd.add_argument('--alpha-tv', type=float)
+    bd.add_argument('--beta-wav', type=float)
+    bd.add_argument('--haar-levels', type=int)
     bd.add_argument('--scheme', choices=[*SCHEMES, 'all'], default='all')
     bd.add_argument('--out', required=True)
-    # the scaled 1e-8 default is out of reach at rho = 5e-4
+    # the library's scaled stop_tol is out of reach at rho = 5e-4
     _add_common(bd, rho_default=5e-4, tol_default=1e-3)
-    bd.add_argument('--ref-rho', type=float, default=None,
+    bd.add_argument('--ref-rho', type=float,
                     help='penalty used for the reference-objective run '
                          '(default: same as --rho; the refinement protocol '
                          'can stall below the optimum when rho is tiny)')
     bd.set_defaults(func=_cmd_bench_deblur)
 
     bl = bsub.add_parser('lasso', help='lasso consensus benchmark')
-    bl.add_argument('--n', type=int, default=100)
-    bl.add_argument('--d', type=int, default=150)
-    bl.add_argument('--nnz', type=int, default=10)
-    bl.add_argument('--noise-std', type=float, default=0.01)
-    bl.add_argument('--beta', type=float, default=0.1)
-    bl.add_argument('--seed', type=int, default=0)
+    bl.add_argument('--n', type=int)
+    bl.add_argument('--d', type=int)
+    bl.add_argument('--nnz', type=int)
+    bl.add_argument('--noise-std', type=float)
+    bl.add_argument('--beta', type=float)
+    bl.add_argument('--seed', type=int)
     bl.add_argument('--scheme', choices=[*SCHEMES, 'all'], default='all')
     bl.add_argument('--out', required=True)
     _add_common(bl, rho_default=1.0)
@@ -182,8 +183,8 @@ def build_parser():
     rf = sub.add_parser('refsolve', help='reference objective protocol')
     rf.add_argument('--problem', required=True)
     rf.add_argument('--rho', type=float, required=True)
-    rf.add_argument('--alpha', type=float, default=0.999)
-    rf.add_argument('--cap', type=int, default=REFERENCE_CAP)
+    rf.add_argument('--alpha', type=float)
+    rf.add_argument('--cap', type=int)
     rf.add_argument('--summary')
     rf.set_defaults(func=_cmd_refsolve)
     return ap

@@ -46,7 +46,10 @@ __all__ = ['LineSearchParams', 'RelaxationParams', 'InnerResult',
            'exact_block_solve']
 
 LINE_SEARCH_CAP = 60
-ACCEL_SCHEDULES = ('adaptive', 'constant')
+INNER_CAP = 10000     # default inner iteration cap of both inner loops
+CG_TOL = 1e-6         # default absolute residual tolerance of the exact CG
+CG_MAXIT = 100000     # iteration cap of the exact scheme's CG
+ACCEL_SCHEDULES = ('adaptive', 'constant')   # the first is the default
 
 
 class LineSearchParams:
@@ -396,7 +399,7 @@ def _multistep_iterates(ctx, bst):
 
 
 def multistep_loop(ctx, bst, psi_val, record=None,
-                   inner_cap=10000, cap_error=True):
+                   inner_cap=INNER_CAP, cap_error=True):
     """Repeated linearized steps with weighted averaging.
 
     Each inner iteration is the generalized step's linearized step, taken
@@ -460,8 +463,8 @@ def _accelerated_iterates(ctx, bst, delta1):
         u, a, gamma = u_new, a_new, gamma_new
 
 
-def accelerated_loop(ctx, bst, psi_val, schedule='adaptive', record=None,
-                     inner_cap=10000, cap_error=True):
+def accelerated_loop(ctx, bst, psi_val, schedule=ACCEL_SCHEDULES[0],
+                     record=None, inner_cap=INNER_CAP, cap_error=True):
     """Nesterov-weighted inner loop; z is the accelerated average a^l.
 
     schedule='constant' uses delta^l = 2*zeta / ((1-sigma) l) and
@@ -488,7 +491,7 @@ def accelerated_loop(ctx, bst, psi_val, schedule='adaptive', record=None,
                       inner_cap, cap_error)
 
 
-def exact_block_solve(ctx, bst, cg_tol=1e-6, cg_maxit=100000):
+def exact_block_solve(ctx, bst, cg_tol=CG_TOL):
     """Minimize the exact block objective L_i.
 
     h = 0: (H_f + rho A^T A) u = rho A^T c - grad f(0) by the workspace's
@@ -515,9 +518,9 @@ def exact_block_solve(ctx, bst, cg_tol=1e-6, cg_maxit=100000):
         op = LinearOperator(
             (n, n), matvec=lambda v: f.hess_apply(v) + rho * G.apply(v))
         u, info = cg(op, rhs, x0=bst.x.copy(), rtol=0.0, atol=cg_tol,
-                     maxiter=cg_maxit, callback=iters.append)
+                     maxiter=CG_MAXIT, callback=iters.append)
         if info > 0:
-            raise CGNotConverged(cg_maxit)
+            raise CGNotConverged(CG_MAXIT)
         return InnerResult(u, u, 0.0, np.inf, max(len(iters), 1), np.nan)
     c = ctx.workspace.identity_multiple()
     if c is not None and c > 0.0 and f.is_zero:

@@ -199,6 +199,8 @@ class ZeroOp(LinOp):
     """Zero map, possibly rectangular."""
 
     def __init__(self, rows, cols):
+        if rows < 1 or cols < 1:
+            raise DimensionMismatch("zero map needs rows, cols >= 1")
         self.rows = int(rows)
         self.cols = int(cols)
         self.scalar = 0.0 if self.rows == self.cols else None
@@ -382,6 +384,8 @@ class BlurOperator(LinOp):
         kernel = np.asarray(kernel, dtype=float)
         if kernel.ndim != 2 or kernel.shape[0] % 2 == 0 or kernel.shape[1] % 2 == 0:
             raise BadDims("kernel must be 2-D with odd side lengths")
+        if not kernel.any():
+            raise BadDims("blur kernel is all zero")
         self.imrows, self.imcols = imrows, imcols
         self.kernel = kernel.copy()
         self.rows = self.cols = n = imrows * imcols

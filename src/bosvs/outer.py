@@ -24,19 +24,20 @@ import numpy as np
 from .errors import (CGNotConverged, DimensionMismatch, InnerIterationCap,
                      LineSearchDiverged, MaxItersReached, MissingReference,
                      NegativeR)
-from .inner import (ACCEL_SCHEDULES, BlockState, BlockWorkspace, InnerContext,
-                    LineSearchParams, RelaxationParams, accelerated_loop,
-                    exact_block_solve, generalized_step, multistep_loop)
+from .inner import (ACCEL_SCHEDULES, CG_TOL, BlockState, BlockWorkspace,
+                    InnerContext, LineSearchParams, RelaxationParams,
+                    accelerated_loop, exact_block_solve, generalized_step,
+                    multistep_loop)
 from .linops import assemble_back_sub, back_substitute
-# b_i_k is the reference form of the sweep's b_ik; perfbench traces it here
-from .problem import b_i_k, objective  # noqa: F401
+from .problem import objective
 
 __all__ = ['OuterParams', 'OuterState', 'TraceRecord', 'SolveResult',
-           'error_measure', 'outer_step', 'solve', 'energy_E',
+           'error_measure', 'b_i_k', 'outer_step', 'solve', 'energy_E',
            'default_thetas', 'psi_multistep', 'psi_accelerated',
            'write_trace_csv', 'write_summary', 'CSV_BASE_FIELDS']
 
 SCHEMES = ('generalized', 'multistep', 'accelerated', 'exact')
+ALPHA = 0.999     # default correction stepsize
 
 CSV_BASE_FIELDS = ['k', 'time_s', 'objective', 'e_k', 'primal_res', 'E_k',
                    'inner_iters_total']
@@ -92,9 +93,9 @@ class OuterParams:
     ``psi_multistep`` and ``psi_accelerated``.
     """
 
-    def __init__(self, rho, alpha=0.999, scheme='accelerated',
-                 accel_schedule='adaptive', ls=None, relax=None,
-                 stop_tol=None, max_outer_iters=100000, cg_tol=1e-6,
+    def __init__(self, rho, alpha=ALPHA, scheme='accelerated',
+                 accel_schedule=ACCEL_SCHEDULES[0], ls=None, relax=None,
+                 stop_tol=None, max_outer_iters=100000, cg_tol=CG_TOL,
                  reference=None):
         if not 0.0 < rho < np.inf:
             raise ValueError("rho must be finite and positive")
@@ -246,6 +247,14 @@ def energy_E(p, state, rho, alpha, reference, bs):
     return float(out)
 
 
+def b_i_k(b, prods, i):
+    """Block i's partial right-hand side: b minus each prods[j], j != i."""
+    out = b.copy()
+    for q in prods[:i] + prods[i + 1:]:
+        out -= q
+    return out
+
+
 def _workspaces(p, bs):
     # blocks 2..m reuse the self-Grams back substitution already built
     grams = [None] + [row[-1] for row in bs.mblocks]
@@ -271,8 +280,8 @@ def outer_step(p, s, params, bs, workspaces=None, t0=None):
     """Advance the state by one outer iteration; returns (s, TraceRecord).
 
     The sweep applies each block operator once per iterate it needs:
-    ``prods[j]`` holds A_j y_j until block j is swept, then A_j z_j.
-    b_ik and A z - b are summed in the order of ``problem.b_i_k`` and
+    ``prods[j]`` holds A_j y_j until block j is swept, then A_j z_j;
+    ``b_i_k`` takes b_i from them, and A z - b sums them in the order of
     ``Problem.apply_A``. Block states carry x_i between iterations, so
     their f and grad f memos keep matching; the trace objective takes f_i
     at z_i through the rolled-forward memo, which holds it when a line
@@ -292,10 +301,7 @@ def outer_step(p, s, params, bs, workspaces=None, t0=None):
     for i in range(m):
         sl = p.block_slice(i)
         bst, ws = s.bstates[i], workspaces[i]
-        b_ik = p.b.copy()
-        for q in prods[:i] + prods[i + 1:]:
-            b_ik -= q
-        res = _dispatch_block(p, i, s, params, ws, b_ik)
+        res = _dispatch_block(p, i, s, params, ws, b_i_k(p.b, prods, i))
         z[sl] = ws.from_basis(res.z)
         x_next.append(z[sl] if res.x_next is res.z
                       else ws.from_basis(res.x_next))
@@ -332,8 +338,7 @@ def outer_step(p, s, params, bs, workspaces=None, t0=None):
     return s, rec
 
 
-def solve(p, params, x0=None, lam0=None, callbacks=None,
-          raise_on_maxiter=True):
+def solve(p, params, callbacks=None, raise_on_maxiter=True):
     """Run the outer loop until e^k <= stop_tol or the budget runs out.
 
     Returns a SolveResult whose ``solution`` is the final z iterate.
@@ -348,7 +353,7 @@ def solve(p, params, x0=None, lam0=None, callbacks=None,
     """
     bs = assemble_back_sub([blk.A for blk in p.blocks[1:]])
     workspaces = _workspaces(p, bs)
-    s = OuterState(p, params, x0, lam0)
+    s = OuterState(p, params)
     callbacks = list(callbacks or [])
     trace = []
     stop_tol = params.stop_tol

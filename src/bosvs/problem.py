@@ -6,8 +6,7 @@ convex part f_i (gradient available) and a nonsmooth convex part h_i
 vectors are stored as one contiguous array with an offset table.
 
 The module-level functions evaluate the objective, the exact subproblem
-objective L_i, the partial right-hand sides b_i, and a KKT residual
-report.
+objective L_i and a KKT residual report.
 """
 
 import numpy as np
@@ -15,7 +14,7 @@ import numpy as np
 from .errors import DimensionMismatch
 
 __all__ = ['SmoothPart', 'NonsmoothPart', 'Block', 'Problem', 'KKTReport',
-           'objective', 'b_i_k', 'L_i_k', 'kkt_residual']
+           'objective', 'L_i_k', 'kkt_residual']
 
 
 class SmoothPart:
@@ -152,22 +151,6 @@ def objective(p, x, f_known=None):
     return float(total)
 
 
-def b_i_k(p, i, z, y):
-    """Partial right-hand side for block i.
-
-    b minus the already-updated blocks of z (j < i) minus the not yet
-    updated blocks of y (j > i). z and y are full stacked vectors; only
-    the relevant slices are read.
-    """
-    z = p.check_vector(z)
-    y = p.check_vector(y)
-    out = p.b.copy()
-    for j in range(p.m):
-        if j != i:
-            out -= p.blocks[j].A.apply((z if j < i else y)[p.block_slice(j)])
-    return out
-
-
 def L_i_k(p, i, u, b_ik, lam, rho):
     """Exact subproblem objective for block i.
 
@@ -191,10 +174,6 @@ class KKTReport:
         self.primal = float(primal)
         self.blocks = [float(v) for v in blocks]
         self.aggregate = self.primal + sum(self.blocks)
-
-    def __repr__(self):
-        return (f"KKTReport(primal={self.primal:.3e}, "
-                f"aggregate={self.aggregate:.3e})")
 
 
 def kkt_residual(p, x, lam):

@@ -11,7 +11,7 @@ import functools
 import numpy as np
 
 from . import linops
-from .errors import DimensionMismatch, EmptyBox, NegativeThreshold
+from .errors import BadDims, DimensionMismatch, EmptyBox, NegativeThreshold
 from .problem import NonsmoothPart, SmoothPart
 
 __all__ = ['soft_threshold', 'group_shrink', 'box_clamp',
@@ -36,6 +36,8 @@ def group_shrink(v, t, group_size=2):
     """
     if t < 0:
         raise NegativeThreshold(f"threshold {t} < 0")
+    if group_size < 1:
+        raise BadDims(f"group_size must be >= 1, got {group_size}")
     v = np.asarray(v, dtype=float)
     if v.size % group_size:
         raise DimensionMismatch(
@@ -90,6 +92,8 @@ class GroupL2(NonsmoothPart):
     def __init__(self, weight, group_size=2):
         if weight < 0:
             raise NegativeThreshold("group weight must be >= 0")
+        if group_size < 1:
+            raise BadDims(f"group_size must be >= 1, got {group_size}")
         self.weight = float(weight)
         self.group_size = int(group_size)
 
@@ -126,9 +130,7 @@ class ZeroSmooth(SmoothPart):
     """f = 0 with zero gradient and Lipschitz constant zero."""
 
     is_zero = True
-
-    def __init__(self):
-        self.lipschitz = 0.0
+    lipschitz = 0.0
 
     def value(self, x):
         return 0.0

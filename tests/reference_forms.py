@@ -10,6 +10,22 @@ from bosvs import inner
 from bosvs.errors import DimensionMismatch
 
 
+def b_i_k(p, i, z, y):
+    """Partial right-hand side for block i.
+
+    b minus the already-updated blocks of z (j < i) minus the not yet
+    updated blocks of y (j > i). z and y are full stacked vectors; only
+    the relevant slices are read.
+    """
+    z = p.check_vector(z)
+    y = p.check_vector(y)
+    out = p.b.copy()
+    for j in range(p.m):
+        if j != i:
+            out -= p.blocks[j].A.apply((z if j < i else y)[p.block_slice(j)])
+    return out
+
+
 def bb_stepsize(f, x_cur, x_prev):
     """<grad f(x) - grad f(x_prev), dx> / ||dx||^2, or None if dx = 0."""
     d = np.asarray(x_cur, dtype=float) - np.asarray(x_prev, dtype=float)

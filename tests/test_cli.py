@@ -1,6 +1,5 @@
 """Command line interface, exercised through subprocesses."""
 
-import inspect
 import json
 import os
 import subprocess
@@ -9,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from bosvs import bench, cli, inner, outer, problem_io
+from bosvs import bench, cli, outer, problem_io
 
 BOSVS = [sys.executable, '-m', 'bosvs.cli']
 
@@ -89,6 +88,20 @@ def test_malformed_problem_file_is_an_error(tmp_path, capsys):
             {'schema': problem_io.SCHEMA, 'b': [0.0]},
             {'schema': problem_io.SCHEMA, 'b': [0.0], 'blocks': 3},
             [1, 2]]
+    # parts and operators that cannot be built: a group size below 1, a
+    # zero map with no columns, a blur kernel with no nonzero tap
+    zero, ident = {'kind': 'zero'}, {'kind': 'identity', 'n': 4}
+    blur = {'kind': 'quadratic_ls', 'data': [1.0] * 4,
+            'F': {'kind': 'blur', 'shape': [2, 2], 'kernel': [[0.0] * 3] * 3}}
+    for rows, A, f, h in (
+            (4, ident, zero, {'kind': 'group_l2', 'weight': 0.1,
+                              'group_size': 0}),
+            (4, ident, zero, {'kind': 'group_l2', 'weight': 0.1,
+                              'group_size': -2}),
+            (12, {'kind': 'zero', 'rows': 12, 'cols': -1}, zero, zero),
+            (4, ident, blur, zero)):
+        docs.append({'schema': problem_io.SCHEMA, 'b': {'zeros': rows},
+                     'blocks': [{'A': A, 'f': f, 'h': h}]})
     for n, doc in enumerate(docs):
         path = str(tmp_path / f'bad{n}.json')
         with open(path, 'w') as fh:
@@ -190,35 +203,58 @@ def test_bench_lasso_grades_against_the_ista_oracle(tmp_path, monkeypatch):
                                        '--ref-rho', '1'])
 
 
-def defaults(func):
-    return {name: par.default
-            for name, par in inspect.signature(func).parameters.items()}
+class Built(Exception):
+    """Stops a command once it has built what the test inspects."""
 
 
-def test_parser_defaults_match_the_library():
+def stop_with(got, position):
+    """A stand-in that records its argument at ``position`` and stops."""
+    def stand_in(*args, **kwargs):
+        got.append(args[position])
+        raise Built
+    return stand_in
+
+
+def public(obj):
+    return {k: vars(v) if k in ('ls', 'relax') else v
+            for k, v in vars(obj).items()}
+
+
+def test_parser_defaults_match_the_library(monkeypatch):
+    # the 19 flags that have a library default stay None when left out,
+    # so cli.py holds none of their values
     ap = cli.build_parser()
-    lasso = ap.parse_args(['bench', 'lasso', '--out', 'o'])
-    want = defaults(bench.LassoConfig)
-    assert (lasso.n, lasso.d, lasso.nnz, lasso.noise_std, lasso.beta,
-            lasso.seed) == tuple(want[k] for k in (
-                'n', 'd', 'nnz', 'noise_std', 'beta', 'seed'))
-    deblur = ap.parse_args(['bench', 'deblur', '--out', 'o'])
-    want = defaults(bench.DeblurConfig)
-    assert (deblur.size, deblur.blur, deblur.snr, deblur.alpha_tv,
-            deblur.beta_wav, deblur.seed, deblur.haar_levels) == tuple(
-                want[k] for k in ('size', 'blur_size', 'snr_db', 'alpha_tv',
-                                  'beta_wav', 'seed', 'haar_levels'))
-    solve = ap.parse_args(['solve', '--problem', 'p', '--scheme', 'exact',
-                           '--rho', '1'])
-    want = defaults(outer.OuterParams)
-    assert solve.alpha == want['alpha']
-    assert solve.max_iters == want['max_outer_iters']
-    assert solve.accel_schedule == want['accel_schedule']
-    assert solve.relaxed == defaults(inner.RelaxationParams)['enabled']
-    ref = ap.parse_args(['refsolve', '--problem', 'p', '--rho', '1'])
-    want = defaults(bench.refsolve)
-    assert ref.alpha == want['alpha']
-    assert ref.cap == want['cap'] == bench.REFERENCE_CAP
+    bare = {('bench', 'lasso', '--out', 'o'): ('n', 'd', 'nnz', 'noise_std',
+                                               'beta', 'seed'),
+            ('bench', 'deblur', '--out', 'o'): (
+                'size', 'blur_size', 'snr_db', 'alpha_tv', 'beta_wav',
+                'seed', 'haar_levels'),
+            ('solve', '--problem', 'p', '--scheme', 'exact', '--rho', '1'): (
+                'alpha', 'max_outer_iters', 'accel_schedule', 'enabled'),
+            ('refsolve', '--problem', 'p', '--rho', '1'): ('alpha', 'cap')}
+    assert sum(len(names) for names in bare.values()) == 19
+    for argv, names in bare.items():
+        args = ap.parse_args(list(argv))
+        assert [getattr(args, k) for k in names] == [None] * len(names)
+    # ... and the bare commands build what the library builds by default
+    got = []
+    monkeypatch.setattr(cli, 'make_lasso', stop_with(got, 0))
+    monkeypatch.setattr(cli, 'make_deblur', stop_with(got, 0))
+    monkeypatch.setattr(cli, 'load_problem', lambda path: None)
+    monkeypatch.setattr(cli, 'solve', stop_with(got, 1))
+    monkeypatch.setattr(bench, 'solve', stop_with(got, 1))
+    for argv in bare:
+        with pytest.raises(Built):
+            cli.main(list(argv))
+    with pytest.raises(Built):
+        bench.refsolve(None, 1.0)
+    lasso, deblur, params, ref, want_ref = got
+    assert vars(lasso) == vars(bench.LassoConfig())
+    assert vars(deblur) == vars(bench.DeblurConfig())
+    assert public(params) == public(outer.OuterParams(rho=1.0,
+                                                      scheme='exact'))
+    assert public(ref) == public(want_ref)
+    assert ref.max_outer_iters == bench.REFERENCE_CAP
 
 
 def test_solve_stagnation_exit_code(tmp_path):

@@ -1,8 +1,5 @@
-"""Every name a bosvs module imports is used or listed in its ``__all__``.
-
-Imports on a line carrying ``noqa`` are exempt (``outer`` keeps
-``problem.b_i_k`` for the perfbench tracer to wrap).
-"""
+"""Every name a bosvs module imports is used or listed in its ``__all__``;
+a ``noqa`` comment exempts nothing."""
 
 import ast
 import glob
@@ -13,14 +10,10 @@ import bosvs
 
 def unused_imports(source):
     tree = ast.parse(source)
-    lines = source.splitlines()
     imported = set()
     exported = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            if any('noqa' in line
-                   for line in lines[node.lineno - 1:node.end_lineno]):
-                continue
             imported |= {a.asname or a.name.split('.')[0] for a in node.names}
         elif isinstance(node, ast.Assign) and any(
                 getattr(t, 'id', None) == '__all__' for t in node.targets):
@@ -33,7 +26,7 @@ def test_checker_finds_an_unused_import():
     source = ("import os\nimport os.path as osp\nimport sys  # noqa\n"
               "from json import dumps, loads\n__all__ = ['dumps']\n"
               "osp.join('a')\n")
-    assert unused_imports(source) == ['loads', 'os']
+    assert unused_imports(source) == ['loads', 'os', 'sys']
 
 
 def test_no_module_imports_an_unused_name():

@@ -734,11 +734,12 @@ def test_exact_unsupported_blocks():
         inner.exact_block_solve(ctx3, bst3)
 
 
-def test_exact_cg_iteration_cap():
+def test_exact_cg_iteration_cap(monkeypatch):
     rng = np.random.default_rng(250)
     A = linops.DenseOp(rng.standard_normal((70, 64)))
     f = blur5_smooth(8, seed=251)
     ctx, bst = one_block(A, f, prox.ZeroProx(), seed=252)
+    monkeypatch.setattr(inner, 'CG_MAXIT', 2)
     with pytest.raises(CGNotConverged) as info:
-        inner.exact_block_solve(ctx, bst, cg_tol=1e-16, cg_maxit=2)
+        inner.exact_block_solve(ctx, bst, cg_tol=1e-16)
     assert info.value.maxit == 2

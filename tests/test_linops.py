@@ -81,6 +81,14 @@ def test_dimension_checks():
         DiffOperator(0, 3)
 
 
+def test_unrepresentable_operators_are_rejected():
+    for rows, cols in ((12, -1), (0, 3), (3, 0)):
+        with pytest.raises(DimensionMismatch):
+            ZeroOp(rows, cols)
+    with pytest.raises(BadDims, match='kernel'):
+        BlurOperator(4, 4, np.zeros((3, 3)))
+
+
 def test_haar_single_level_hand_case():
     # 2x2 image [[a, b], [c, d]]: one level gives the four quarter sums
     a, b, c, d = 1.0, 2.0, -3.0, 5.0

@@ -14,6 +14,7 @@ from bosvs import bench, inner, linops, outer, problem, prox
 from bosvs.errors import (DimensionMismatch, InnerIterationCap,
                           MaxItersReached,
                           MissingReference, NegativeR)
+from reference_forms import b_i_k
 
 
 def lasso_like(seed, n1=6, rows=5, weight=0.15, m=2):
@@ -111,7 +112,7 @@ def test_outer_step_matches_hand_sweep():
     z = np.zeros(p.n)
     results = []
     for i in range(p.m):
-        b_ik = problem.b_i_k(p, i, z, y0)
+        b_ik = b_i_k(p, i, z, y0)
         ctx = inner.InnerContext(p, i, b_ik, lam0, params.rho, params.ls,
                                  params.relax, 1)
         bst = inner.BlockState(x0[p.block_slice(i)].copy(),
@@ -179,7 +180,7 @@ def test_outer_step_applies_each_block_operator_once_per_iterate(
     assert sorted(applies) == [0, 1, 1, 2, 2]
     assert [i for i, _ in seen] == [0, 1, 2]
     for i, b_ik in seen:
-        assert b_ik.tobytes() == problem.b_i_k(p, i, s.z, y0).tobytes()
+        assert b_ik.tobytes() == b_i_k(p, i, s.z, y0).tobytes()
 
 
 def test_solve_builds_each_self_gram_once(monkeypatch):
@@ -443,10 +444,13 @@ def test_cg_cap_ends_an_exact_run_as_stagnated(monkeypatch):
     # a 5x5 blur has no structured Gram, so the exact image block runs CG
     p = bench.make_deblur(bench.DeblurConfig(size=8, blur_size=5))
     exact = outer.exact_block_solve
-    monkeypatch.setattr(outer, 'exact_block_solve',
-                        lambda ctx, bst, cg_tol: exact(
-                            ctx, bst, cg_tol, cg_maxit=2 if ctx.k > 3
-                            else 100000))
+
+    def capped_after_three(ctx, bst, cg_tol):
+        if ctx.k > 3:
+            monkeypatch.setattr(inner, 'CG_MAXIT', 2)
+        return exact(ctx, bst, cg_tol)
+
+    monkeypatch.setattr(outer, 'exact_block_solve', capped_after_three)
     last = []
     res = outer.solve(p, outer.OuterParams(rho=5e-4, scheme='exact'),
                       callbacks=[lambda s, rec: last.append(

@@ -6,10 +6,9 @@ import pytest
 
 from bosvs.errors import DimensionMismatch
 from bosvs.linops import DenseOp, IdentityOp, NegIdentityOp
-from bosvs.problem import (Block, Problem, L_i_k, b_i_k, kkt_residual,
-                           objective)
+from bosvs.problem import Block, Problem, L_i_k, kkt_residual, objective
 from bosvs.prox import QuadraticLS, ScaledL1, ZeroProx, ZeroSmooth
-from reference_forms import phi_i_k
+from reference_forms import b_i_k, phi_i_k
 
 
 def augmented_lagrangian(p, x, lam, rho):

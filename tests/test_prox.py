@@ -4,7 +4,8 @@ contraction properties."""
 import numpy as np
 import pytest
 
-from bosvs.errors import DimensionMismatch, EmptyBox, NegativeThreshold
+from bosvs.errors import (BadDims, DimensionMismatch, EmptyBox,
+                          NegativeThreshold)
 from bosvs.inner import BlockState
 from bosvs.prox import (BoxIndicator, GroupL2, QuadraticLS, ScaledL1,
                         ZeroProx, ZeroSmooth, box_clamp, group_shrink,
@@ -65,6 +66,14 @@ def test_group_shrink_matches_per_group_formula():
             assert np.allclose(got.reshape(gs, -1)[:, p], want, atol=1e-12)
     with pytest.raises(DimensionMismatch):
         group_shrink(np.ones(5), 0.1, 2)
+
+
+def test_group_size_below_one_is_rejected():
+    for size in (0, -2):
+        with pytest.raises(BadDims, match='group_size'):
+            GroupL2(0.4, size)
+        with pytest.raises(BadDims, match='group_size'):
+            group_shrink(np.ones(4), 0.1, size)
 
 
 def test_group_shrink_zero_group_stays_zero():
