@@ -191,7 +191,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:    # argparse exits 2 on a usage error
+        return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
     except MaxItersReached:

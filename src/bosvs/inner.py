@@ -207,6 +207,20 @@ class BlockWorkspace:
                                  for v in (bst.x, bst.x_prev))
             bst.basis, bst._memo = self.to_basis, []
 
+    def release(self, ctx, bst, res):
+        """``adopt``'s counterpart: rolls the state past step ``res``
+        (x_prev <- x <- x^{k+1}, then delta, Gamma and the inner count) and
+        returns (z_i, x_i^{k+1}, f_i(z_i)) out of the basis, with f_i(z_i)
+        taken in it through the rolled memo, which holds it when a line
+        search took it (or, with a normal form, the gradient it comes from)."""
+        bst.x_prev, bst.x = bst.x, res.x_next
+        bst.delta_prev = res.delta_final
+        bst.Gamma_prev = res.Gamma
+        bst.l_prev = res.inner_iters
+        z = self.from_basis(res.z)
+        x = z if res.x_next is res.z else self.from_basis(res.x_next)
+        return z, x, bst.value(ctx.block.f, res.z)
+
     def gram_basis(self):
         """The Gram value: a ``ZeroOp``, ``ScaledIdentityOp``,
         ``Diagonalized`` or ``DenseOp`` of ``linops``."""
@@ -251,15 +265,10 @@ class InnerContext:
         self.block = self.workspace.block or p.blocks[i]
         # penalty center: rho/2 ||A u - c_vec||^2 with c_vec = b_ik - lam/rho
         self.c_vec = b_ik - lam / rho
-        self._atc = None
-
-    def adjoint_c(self):
-        """(A^T c_vec, rho A^T c_vec) in the workspace's coordinates."""
-        if self._atc is None:
-            atc = self.workspace.to_basis(
-                self.block.A.apply_adjoint(self.c_vec))
-            self._atc = (atc, self.rho * atc)
-        return self._atc
+        # A^T c_vec and rho A^T c_vec in the workspace's coordinates
+        self.atc = self.workspace.to_basis(
+            self.block.A.apply_adjoint(self.c_vec))
+        self.atc_rho = self.rho * self.atc
 
 
 def _bb_seed(ctx, bst):
@@ -281,7 +290,7 @@ def _composite_argmin(ctx, grad_vec, center, delta):
     """argmin <g, u> + (delta/2)||u - center||^2 + h(u)
     + (rho/2)||A u - c_vec||^2 over the solvable classes."""
     rho = ctx.rho
-    rhs = delta * center - grad_vec + ctx.adjoint_c()[1]
+    rhs = delta * center - grad_vec + ctx.atc_rho
     if ctx.block.h.is_zero:
         return ctx.workspace.solve_shifted(delta, rho, rhs)
     c = ctx.workspace.identity_multiple()
@@ -505,7 +514,7 @@ def exact_block_solve(ctx, bst, cg_tol=CG_TOL):
     n = ctx.block.dim
     if h.is_zero:
         solve, g0 = ctx.workspace.system(f, rho)
-        rhs = ctx.adjoint_c()[1] - g0
+        rhs = ctx.atc_rho - g0
         if solve is not None:
             u = solve(rhs)
             return InnerResult(u, u, 0.0, np.inf, 1, np.nan)
@@ -524,6 +533,6 @@ def exact_block_solve(ctx, bst, cg_tol=CG_TOL):
         return InnerResult(u, u, 0.0, np.inf, max(len(iters), 1), np.nan)
     c = ctx.workspace.identity_multiple()
     if c is not None and c > 0.0 and f.is_zero:
-        u = h.prox(ctx.adjoint_c()[0] / c, 1.0 / (rho * c))
+        u = h.prox(ctx.atc / c, 1.0 / (rho * c))
         return InnerResult(u, u, 0.0, np.inf, 1, np.nan)
     raise UnsupportedSubproblem(ctx.i + 1)

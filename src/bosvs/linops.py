@@ -381,6 +381,8 @@ class BlurOperator(LinOp):
 
     def __init__(self, imrows, imcols, kernel):
         imrows, imcols = int(imrows), int(imcols)
+        if imrows < 1 or imcols < 1:
+            raise BadDims("image dims must be >= 1")
         kernel = np.asarray(kernel, dtype=float)
         if kernel.ndim != 2 or kernel.shape[0] % 2 == 0 or kernel.shape[1] % 2 == 0:
             raise BadDims("kernel must be 2-D with odd side lengths")

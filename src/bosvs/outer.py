@@ -84,7 +84,8 @@ class OuterParams:
     max_outer_iters : int
         Outer iteration budget, >= 1.
     cg_tol : float
-        Absolute residual tolerance of the exact scheme's CG fallback.
+        Absolute residual tolerance of the exact scheme's CG fallback,
+        finite and > 0.
     reference : (x_star, lam_star) or None
         Enables the E_k column in the trace.
 
@@ -107,6 +108,8 @@ class OuterParams:
             raise ValueError(f"unknown accel_schedule {accel_schedule!r}")
         if stop_tol is not None and not stop_tol >= 0.0:
             raise ValueError("stop_tol must be nonnegative or None")
+        if not 0.0 < cg_tol < np.inf:
+            raise ValueError("cg_tol must be finite and positive")
         self.rho = float(rho)
         self.alpha = float(alpha)
         self.scheme = scheme
@@ -127,9 +130,8 @@ class OuterState:
     """Iterate bundle: x, y, lam, last z, per-block inner bookkeeping."""
 
     def __init__(self, p, params, x0=None, lam0=None):
-        n = p.n
         if x0 is None:
-            x0 = np.zeros(n)
+            x0 = np.zeros(p.n)
         x0 = p.check_vector(x0).copy()
         if lam0 is None:
             lam0 = np.zeros(p.rows)
@@ -261,19 +263,23 @@ def _workspaces(p, bs):
     return [BlockWorkspace(blk.A, g, blk) for blk, g in zip(p.blocks, grams)]
 
 
-def _dispatch_block(p, i, s, params, ws, b_ik):
+def _step_block(p, i, s, params, ws, b_ik):
+    """Block i's subproblem under the chosen scheme, from the workspace's
+    ``adopt`` to its ``release``; returns (r_i, z_i, x_i^{k+1}, f_i(z_i))."""
     bst = s.bstates[i]
     ws.adopt(bst)
     ctx = InnerContext(p, i, b_ik, s.lam, params.rho, params.ls, params.relax,
                        s.k, ws)
     if params.scheme == 'generalized':
-        return generalized_step(ctx, bst)
-    if params.scheme == 'multistep':
-        return multistep_loop(ctx, bst, psi_multistep(s.e_prev))
-    if params.scheme == 'accelerated':
-        return accelerated_loop(ctx, bst, psi_accelerated(s.e_prev),
-                                schedule=params.accel_schedule)
-    return exact_block_solve(ctx, bst, params.cg_tol)
+        res = generalized_step(ctx, bst)
+    elif params.scheme == 'multistep':
+        res = multistep_loop(ctx, bst, psi_multistep(s.e_prev))
+    elif params.scheme == 'accelerated':
+        res = accelerated_loop(ctx, bst, psi_accelerated(s.e_prev),
+                               schedule=params.accel_schedule)
+    else:
+        res = exact_block_solve(ctx, bst, params.cg_tol)
+    return (res.r, *ws.release(ctx, bst, res))
 
 
 def outer_step(p, s, params, bs, workspaces=None, t0=None):
@@ -282,59 +288,40 @@ def outer_step(p, s, params, bs, workspaces=None, t0=None):
     The sweep applies each block operator once per iterate it needs:
     ``prods[j]`` holds A_j y_j until block j is swept, then A_j z_j;
     ``b_i_k`` takes b_i from them, and A z - b sums them in the order of
-    ``Problem.apply_A``. Block states carry x_i between iterations, so
-    their f and grad f memos keep matching; the trace objective takes f_i
-    at z_i through the rolled-forward memo, which holds it when a line
-    search took it (or, on a part with a normal form, the gradient it
-    comes from). A block run in a working basis returns z_i and
-    x_i^{k+1} in it; they are mapped out here, and f_i(z_i) is taken in it.
+    ``Problem.apply_A``. x, y, z, lam, e_prev and k are committed only
+    when e^k is finite; the record is returned either way.
     """
     if workspaces is None:
         workspaces = _workspaces(p, bs)
     if t0 is None:
         t0 = time.perf_counter()
-    m = p.m
     z = np.zeros(p.n)
     prods = [None] + [p.blocks[j].A.apply(s.y[p.block_slice(j)])
-                      for j in range(1, m)]
-    results, x_next, f_known = [], [], []
-    for i in range(m):
+                      for j in range(1, p.m)]
+    steps = []
+    for i in range(p.m):
         sl = p.block_slice(i)
-        bst, ws = s.bstates[i], workspaces[i]
-        res = _dispatch_block(p, i, s, params, ws, b_i_k(p.b, prods, i))
-        z[sl] = ws.from_basis(res.z)
-        x_next.append(z[sl] if res.x_next is res.z
-                      else ws.from_basis(res.x_next))
+        steps.append(_step_block(p, i, s, params, workspaces[i],
+                                 b_i_k(p.b, prods, i)))
+        z[sl] = steps[-1][1]
         prods[i] = p.blocks[i].A.apply(z[sl])
-        results.append(res)
-        # roll the per-block bookkeeping forward, so that the memo keeps
-        # the entries of the new x and x_prev
-        bst.x_prev, bst.x = bst.x, res.x_next
-        bst.delta_prev = res.delta_final
-        bst.Gamma_prev = res.Gamma
-        bst.l_prev = res.inner_iters
-        f_known.append(bst.value((ws.block or p.blocks[i]).f, res.z))
-    r_list = [res.r for res in results]
+    r_list, _, x_next, f_known = zip(*steps)
     primal_vec = sum(prods, np.zeros(p.rows)) - p.b
     e = error_measure(params.thetas, z, s.y, r_list, p, primal_vec)
-    E = None
-    if params.reference is not None:
-        E = energy_E(p, s, params.rho, params.alpha, params.reference, bs)
+    E = None if params.reference is None else energy_E(
+        p, s, params.rho, params.alpha, params.reference, bs)
     rec = TraceRecord(s.k, time.perf_counter() - t0, objective(p, z, f_known),
                       e, np.linalg.norm(primal_vec), E,
-                      [res.inner_iters for res in results], s.deltas,
-                      s.Gammas)
-    # correction step
-    off1 = int(p.offsets[1])
-    y_new = np.empty_like(s.y)
-    y_new[:off1] = z[:off1]
-    y_new[off1:] = back_substitute(bs, s.y[off1:], z[off1:], params.alpha)
-    s.lam = s.lam + params.alpha * params.rho * primal_vec
-    s.x = np.concatenate(x_next)
-    s.y = y_new
-    s.z = z
-    s.e_prev = e
-    s.k += 1
+                      [b.l_prev for b in s.bstates], s.deltas, s.Gammas)
+    if np.isfinite(e):      # commit, with the correction step
+        off1 = int(p.offsets[1])
+        s.y = np.concatenate([z[:off1], back_substitute(
+            bs, s.y[off1:], z[off1:], params.alpha)])
+        s.lam = s.lam + params.alpha * params.rho * primal_vec
+        s.x = np.concatenate(x_next)
+        s.z = z
+        s.e_prev = e
+        s.k += 1
     return s, rec
 
 
@@ -358,10 +345,8 @@ def solve(p, params, callbacks=None, raise_on_maxiter=True):
     trace = []
     stop_tol = params.stop_tol
     reason = 'max_iters'
-    converged = False
     t0 = time.perf_counter()
     for _ in range(params.max_outer_iters):
-        last = (s.x, s.y, s.z, s.lam)
         try:
             s, rec = outer_step(p, s, params, bs, workspaces, t0)
         except (InnerIterationCap, CGNotConverged, LineSearchDiverged) as exc:
@@ -369,26 +354,21 @@ def solve(p, params, callbacks=None, raise_on_maxiter=True):
                 else 'stagnated'
             break
         if not np.isfinite(rec.e_k):
-            s.x, s.y, s.z, s.lam = last
             reason = 'diverged'
             break
         trace.append(rec)
         if stop_tol is None:
             stop_tol = 1e-8 * (1.0 + abs(rec.objective))
-        stopped = False
-        for cb in callbacks:
-            if cb(s, rec):
-                stopped = True
+        stopped = any([cb(s, rec) for cb in callbacks])    # call them all
         if rec.e_k <= stop_tol:
-            converged = True
             reason = 'converged'
             break
         if stopped:
             reason = 'callback'
             break
-    result = SolveResult(s.x, s.y, s.z, s.lam, trace, converged, reason,
-                         stop_tol)
-    if not converged and reason == 'max_iters' and raise_on_maxiter:
+    result = SolveResult(s.x, s.y, s.z, s.lam, trace, reason == 'converged',
+                         reason, stop_tol)
+    if reason == 'max_iters' and raise_on_maxiter:
         raise MaxItersReached(result)
     return result
 

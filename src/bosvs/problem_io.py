@@ -25,6 +25,11 @@ __all__ = ['SCHEMA', 'save_problem', 'load_problem', 'problem_to_dict',
 SCHEMA = 'bosvs-problem/1'
 
 
+def _given(spec, key):
+    """The key's entry, if any: a part's constructor supplies the default."""
+    return {key: spec[key]} if key in spec else {}
+
+
 def _op_to_spec(op):
     if isinstance(op, DenseOp):
         return {'kind': 'dense', 'matrix': op.to_dense().tolist()}
@@ -54,15 +59,15 @@ def _op_from_spec(spec):
     if kind == 'dense':
         return DenseOp(np.asarray(spec['matrix'], dtype=float))
     if kind in ('identity', 'negidentity'):
-        scale = float(spec.get('scale', 1.0))
+        op = ScaledIdentityOp(int(spec['n']), **_given(spec, 'scale'))
         if kind == 'negidentity':
-            scale = -scale
-        return ScaledIdentityOp(int(spec['n']), scale)
+            op.scalar = -op.scalar
+        return op
     if kind == 'zero':
         return ZeroOp(int(spec['rows']), int(spec['cols']))
     if kind == 'haar':
         r, c = spec['shape']
-        return HaarTransform(int(r), int(c), int(spec.get('levels', 2)))
+        return HaarTransform(int(r), int(c), **_given(spec, 'levels'))
     if kind == 'diff2d':
         r, c = spec['shape']
         return DiffOperator(int(r), int(c))
@@ -119,7 +124,7 @@ def _nonsmooth_from_spec(spec):
         return ScaledL1(float(spec['weight']))
     if kind == 'group_l2':
         return GroupL2(float(spec['weight']),
-                       int(spec.get('group_size', 2)))
+                       **_given(spec, 'group_size'))
     if kind == 'box':
         return BoxIndicator(np.asarray(spec['lo'], dtype=float),
                             np.asarray(spec['hi'], dtype=float))

@@ -159,6 +159,9 @@ def test_ista_oracle_beta_zero_and_budget(monkeypatch):
     u = bench.ista_oracle(F, data, 0.0)
     lstsq = np.linalg.lstsq(F, data, rcond=None)[0]
     assert np.max(np.abs(u - lstsq)) <= 1e-8
+    # an all-zero design has the zero minimizer
+    assert np.array_equal(bench.ista_oracle(np.zeros((40, 25)), data, 0.01),
+                          np.zeros(25))
     monkeypatch.setattr(bench, 'ISTA_MAXIT', 3)
     with pytest.raises(MaxItersReached):
         bench.ista_oracle(F, data, 0.01)

@@ -89,17 +89,21 @@ def test_malformed_problem_file_is_an_error(tmp_path, capsys):
             {'schema': problem_io.SCHEMA, 'b': [0.0], 'blocks': 3},
             [1, 2]]
     # parts and operators that cannot be built: a group size below 1, a
-    # zero map with no columns, a blur kernel with no nonzero tap
+    # zero map with no columns, a blur kernel with no nonzero tap, a blur
+    # of an image with no rows
     zero, ident = {'kind': 'zero'}, {'kind': 'identity', 'n': 4}
     blur = {'kind': 'quadratic_ls', 'data': [1.0] * 4,
             'F': {'kind': 'blur', 'shape': [2, 2], 'kernel': [[0.0] * 3] * 3}}
+    flat = {'kind': 'quadratic_ls', 'data': [1.0] * 4,
+            'F': {'kind': 'blur', 'shape': [0, 4], 'kernel': [[1.0]]}}
     for rows, A, f, h in (
             (4, ident, zero, {'kind': 'group_l2', 'weight': 0.1,
                               'group_size': 0}),
             (4, ident, zero, {'kind': 'group_l2', 'weight': 0.1,
                               'group_size': -2}),
             (12, {'kind': 'zero', 'rows': 12, 'cols': -1}, zero, zero),
-            (4, ident, blur, zero)):
+            (4, ident, blur, zero),
+            (4, ident, flat, zero)):
         docs.append({'schema': problem_io.SCHEMA, 'b': {'zeros': rows},
                      'blocks': [{'A': A, 'f': f, 'h': h}]})
     for n, doc in enumerate(docs):
@@ -135,8 +139,13 @@ def test_smooth_part_of_another_length_is_an_error(tmp_path):
 def test_bad_usage_reports_usage():
     proc = run_cli(['solve', '--problem', 'x.json', '--scheme', 'sneaky',
                     '--rho', '1.0'])
-    assert proc.returncode != 0
+    assert proc.returncode == 1
     assert 'usage' in proc.stderr.lower()
+
+
+def test_help_exits_0(capsys):
+    assert cli.main(['solve', '--help']) == 0
+    assert 'usage' in capsys.readouterr().out.lower()
 
 
 def test_refsolve_subcommand(tmp_path, lasso_file):

@@ -328,10 +328,8 @@ def test_line_search_diverged_on_cliff():
                  lambda ctx, bst: inner.accelerated_loop(ctx, bst, np.inf)):
         ctx, bst = one_block(linops.IdentityOp(4), CliffSmooth(),
                              prox.ZeroProx(), rho=1.0, seed=110)
-        ctx.b_ik = 0.5 * np.ones(4)
-        ctx.lam = np.zeros(4)
-        ctx.c_vec = ctx.b_ik - ctx.lam / ctx.rho
-        ctx._atc = None
+        ctx = inner.InnerContext(ctx.p, 0, 0.5 * np.ones(4), np.zeros(4),
+                                 ctx.rho, ctx.ls, ctx.relax, ctx.k)
         bst.x = np.zeros(4)
         with pytest.raises(LineSearchDiverged) as info:
             step(ctx, bst)

@@ -87,6 +87,9 @@ def test_unrepresentable_operators_are_rejected():
             ZeroOp(rows, cols)
     with pytest.raises(BadDims, match='kernel'):
         BlurOperator(4, 4, np.zeros((3, 3)))
+    for rows, cols in ((0, 4), (4, 0), (-1, 4)):
+        with pytest.raises(BadDims, match='image'):
+            BlurOperator(rows, cols, [[1.0]])
 
 
 def test_haar_single_level_hand_case():
@@ -229,6 +232,13 @@ def test_gram_structured_fast_paths_are_exact():
     assert np.array_equal(gram(a2, a2).to_dense(), np.eye(n))
     assert np.array_equal(gram(a3, a3).to_dense(), np.eye(n))
     assert np.array_equal(gram(a2, a3).to_dense(), np.zeros((n, n)))
+    # [I; I] sums two multiples of I; a square zero solves and bounds as 0
+    two = VStackOp([ident, ident])
+    assert type(gram(two, two)) is ScaledIdentityOp
+    assert gram(two, two).scalar == 2.0
+    z5, rhs = gram(zero, zero), np.arange(5.0)
+    assert np.array_equal(z5.solve_shifted(4.0, 3.0, rhs), rhs / 4.0)
+    assert z5.eig_bounds() == (0.0, 0.0)
     # Gram values are operators of the same classes as their operands
     for a, b in [(ident, ident), (neg, neg), (neg, ident), (h, h),
                  (a2, a2), (a3, a3)]:
@@ -443,6 +453,9 @@ def test_back_sub_rejects_rank_deficient_blocks():
     with pytest.raises(RankDeficient) as info:
         assemble_back_sub([good, bad])
     assert info.value.block == 3  # 1-based among all blocks; first is block 2
+    with pytest.raises(RankDeficient) as info:
+        assemble_back_sub([good, ZeroOp(8, 2)])
+    assert info.value.block == 3
 
 
 def test_back_substitute_dimension_check():

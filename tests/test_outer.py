@@ -54,6 +54,11 @@ def test_outer_params_validation():
     for stop_tol in (None, 0.0, 1e-8, np.inf):
         assert outer.OuterParams(rho=1.0, stop_tol=stop_tol).stop_tol \
             is stop_tol
+    for cg_tol in (0.0, -1e-6, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            outer.OuterParams(rho=1.0, scheme='exact', cg_tol=cg_tol)
+    for cg_tol in (1e-12, 1e-14):      # the values acceptance runs pass
+        assert outer.OuterParams(rho=1.0, cg_tol=cg_tol).cg_tol == cg_tol
     with pytest.raises(ValueError):
         outer.OuterParams(rho=1.0, alpha=1.0)
     with pytest.raises(ValueError):
@@ -438,6 +443,40 @@ def test_non_finite_e_k_ends_an_exact_run_as_diverged():
     assert res.reason == 'diverged' and res.iterations == len(last) == 3
     for got, want in zip((res.x, res.y, res.z, res.lam), last[-1]):
         assert np.array_equal(got, want)
+
+
+def test_outer_step_commits_only_a_finite_iteration():
+    p = bench.make_lasso(bench.LassoConfig(n=20, d=30, seed=0))
+    params = outer.OuterParams(rho=1.0, scheme='exact')
+    bs = linops.assemble_back_sub([blk.A for blk in p.blocks[1:]])
+    s, rec = outer.outer_step(p, outer.OuterState(p, params), params, bs)
+    kept = (s.x, s.y, s.z, s.lam, s.e_prev, s.k)
+    p.b[0] = np.nan
+    s, rec = outer.outer_step(p, s, params, bs)
+    assert rec.k == s.k == 2 and np.isnan(rec.e_k)
+    assert all(a is b for a, b in zip((s.x, s.y, s.z, s.lam), kept))
+    assert s.e_prev == kept[4]
+
+
+@pytest.mark.parametrize('scheme', ['generalized', 'accelerated', 'exact'])
+def test_block_with_neither_f_nor_h_takes_the_least_squares_answer(scheme):
+    # min 0.5 ||F u - data||^2 over u = v, with v free: the exact scheme
+    # solves block 2 through ZeroSmooth's zero Hessian Gram. Multistep
+    # stagnates here, as on the small lasso, so it is left out.
+    rng = np.random.default_rng(4)
+    F = linops.DenseOp(rng.standard_normal((6, 3)))
+    data = rng.standard_normal(6)
+    p = problem.Problem(
+        [problem.Block(linops.IdentityOp(3), prox.QuadraticLS(F, data),
+                       prox.ZeroProx()),
+         problem.Block(linops.NegIdentityOp(3), prox.ZeroSmooth(),
+                       prox.ZeroProx())], np.zeros(3))
+    res = outer.solve(p, outer.OuterParams(rho=2.0, scheme=scheme,
+                                           stop_tol=1e-12,
+                                           max_outer_iters=3000))
+    want = np.linalg.lstsq(F.to_dense(), data, rcond=None)[0]
+    assert res.reason == 'converged'
+    assert np.abs(res.z - np.concatenate([want, want])).max() <= 1e-5
 
 
 def test_cg_cap_ends_an_exact_run_as_stagnated(monkeypatch):

@@ -66,6 +66,36 @@ def test_nonsmooth_roundtrip():
     assert g.weight == 0.3 and g.group_size == 2
 
 
+def test_left_out_keys_take_the_constructors_defaults():
+    doc = {'schema': problem_io.SCHEMA, 'b': {'zeros': 16},
+           'blocks': [{'A': {'kind': 'haar', 'shape': [4, 4]},
+                       'f': {'kind': 'zero'},
+                       'h': {'kind': 'group_l2', 'weight': 0.3}},
+                      {'A': {'kind': 'identity', 'n': 16},
+                       'f': {'kind': 'zero'}, 'h': {'kind': 'zero'}},
+                      {'A': {'kind': 'negidentity', 'n': 16},
+                       'f': {'kind': 'zero'}, 'h': {'kind': 'zero'}}]}
+    blocks = problem_io.problem_from_dict(doc).blocks
+    haar, ident, neg = (blk.A for blk in blocks)
+    group = blocks[0].h
+    assert haar.levels == linops.HaarTransform(4, 4).levels
+    assert group.group_size == prox.GroupL2(0.3).group_size
+    assert ident.scalar == linops.ScaledIdentityOp(16).scalar
+    assert neg.scalar == -linops.ScaledIdentityOp(16).scalar
+
+
+def test_smooth_roundtrip_keeps_a_given_lipschitz():
+    rng = np.random.default_rng(2)
+    F = linops.DenseOp(rng.standard_normal((6, 3)))
+    for lipschitz in (None, 7.25):
+        f = prox.QuadraticLS(F, rng.standard_normal(6), lipschitz=lipschitz)
+        spec = json.loads(json.dumps(problem_io._smooth_to_spec(f)))
+        back = problem_io._smooth_from_spec(spec)
+        assert ('lipschitz' in spec) == (lipschitz is not None)
+        assert back.lipschitz == f.lipschitz
+        assert np.array_equal(back.data, f.data)
+
+
 def test_rejects_unknown_schema_and_kinds():
     with pytest.raises(ValueError):
         problem_io.problem_from_dict({'schema': 'bosvs-problem/99',
