@@ -47,6 +47,8 @@ class DeblurConfig:
             raise BadDims(f"size must be a power of two >= 8, got {size}")
         if blur_size % 2 == 0 or blur_size < 1:
             raise BadDims("blur_size must be odd and positive")
+        if not snr_db > -math.inf:
+            raise BadDims(f"snr_db must be a number above -inf, got {snr_db}")
         self.size = size
         self.blur_size = int(blur_size)
         self.snr_db = float(snr_db)
@@ -67,6 +69,9 @@ class LassoConfig:
                  seed=0):
         if n < 1 or d < 1 or nnz < 0 or nnz > n:
             raise BadDims("need n, d >= 1 and 0 <= nnz <= n")
+        if not (0.0 <= noise_std < math.inf and math.isfinite(beta)):
+            raise BadDims(f"need a finite noise_std >= 0 and a finite beta, "
+                          f"got noise_std={noise_std}, beta={beta}")
         self.n = int(n)
         self.d = int(d)
         self.nnz = int(nnz)

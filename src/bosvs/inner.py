@@ -210,9 +210,9 @@ class BlockWorkspace:
     def release(self, ctx, bst, res):
         """``adopt``'s counterpart: rolls the state past step ``res``
         (x_prev <- x <- x^{k+1}, then delta, Gamma and the inner count) and
-        returns (z_i, x_i^{k+1}, f_i(z_i)) out of the basis, with f_i(z_i)
-        taken in it through the rolled memo, which holds it when a line
-        search took it (or, with a normal form, the gradient it comes from)."""
+        returns (z_i, x_i^{k+1}, f_i(z_i)) out of the basis, f_i(z_i) taken
+        in it through the rolled memo, which a line search or direct solve
+        left holding it (with a normal form, the gradient it comes from)."""
         bst.x_prev, bst.x = bst.x, res.x_next
         bst.delta_prev = res.delta_final
         bst.Gamma_prev = res.Gamma
@@ -234,8 +234,8 @@ class BlockWorkspace:
         return self._gram.solve_shifted(delta, rho, rhs)
 
     def system(self, f, rho):
-        """The exact scheme's (``linops.direct_solver`` of H_f + rho A^T A or
-        None, grad f(0)), built once per rho."""
+        """The exact scheme's (``linops.direct_solver`` of H_f + rho A^T A,
+        a cached inverse if dense, or None; grad f(0)), built once per rho."""
         if self._system is None or self._system[0] != rho:
             H = f.hess_gram(self._gram.cols) if f.hess_gram else None
             self._system = (rho, None if H is None
@@ -504,28 +504,29 @@ def exact_block_solve(ctx, bst, cg_tol=CG_TOL):
     """Minimize the exact block objective L_i.
 
     h = 0: (H_f + rho A^T A) u = rho A^T c - grad f(0) by the workspace's
-    direct ``system`` solve, else by CG on ``hess_apply`` warm started at
+    direct ``system`` solve (which gives a ``normal`` f the optimality
+    condition's grad f(u) = rho A^T (c - A u), so ``release`` takes f(u)
+    with no product with H_f), else by CG on ``hess_apply`` warm started at
     the current iterate until the residual norm is below cg_tol. Gram = c*I
     with f = 0: one prox. Result: r = 0, Gamma = +inf, l = 1 (CG: its count).
     """
-    h = ctx.block.h
-    f = ctx.block.f
-    rho = ctx.rho
-    n = ctx.block.dim
+    h, f, rho = ctx.block.h, ctx.block.f, ctx.rho
     if h.is_zero:
         solve, g0 = ctx.workspace.system(f, rho)
         rhs = ctx.atc_rho - g0
+        G = ctx.workspace.gram_basis()
         if solve is not None:
             u = solve(rhs)
+            if f.normal is not None:
+                bst._memoized(f, u, 2, lambda v: rho * (ctx.atc - G.apply(v)))
             return InnerResult(u, u, 0.0, np.inf, 1, np.nan)
         if f.hess_apply is None:
             raise UnsupportedSubproblem(
                 ctx.i + 1, f"block {ctx.i + 1}: CG path needs a quadratic "
                            "smooth part")
-        G = ctx.workspace.gram_basis()
         iters = []
         op = LinearOperator(
-            (n, n), matvec=lambda v: f.hess_apply(v) + rho * G.apply(v))
+            G.shape, matvec=lambda v: f.hess_apply(v) + rho * G.apply(v))
         u, info = cg(op, rhs, x0=bst.x.copy(), rtol=0.0, atol=cg_tol,
                      maxiter=CG_MAXIT, callback=iters.append)
         if info > 0:

@@ -29,7 +29,7 @@ import functools
 import numpy as np
 from scipy import sparse
 from scipy.fft import dctn, idctn
-from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.linalg import eigh, lapack
 from scipy.linalg.blas import dsymv
 
 from .errors import BadDims, DimensionMismatch, RankDeficient
@@ -537,14 +537,18 @@ def _rank_deficient(g):
 
 def direct_solver(h, g, rho):
     """rhs -> (H + rho G)^{-1} rhs for Gram values H >= 0 and G, or None
-    when G fails the back-substitution rank test (the sum may be singular
-    too). A dense sum is Cholesky factored, a tenth of its ``eigh``'s cost."""
+    when G fails the back-substitution rank test. A dense sum is inverted
+    once (potrf, potri); a solve is one symv, its sums split by BLAS thread."""
     if _rank_deficient(g):
         return None
     k = _add(h, g, rho)
     if isinstance(k, DenseOp):
-        cho = cho_factor(k._a, check_finite=False)
-        return lambda rhs: cho_solve(cho, rhs, check_finite=False)
+        c, info = lapack.dpotrf(k._a)
+        if info == 0:
+            c, info = lapack.dpotri(c, overwrite_c=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"not positive definite (info {info})")
+        return functools.partial(dsymv, 1.0, c)
     return functools.partial(k.solve_shifted, 0.0, 1.0)
 
 

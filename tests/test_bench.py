@@ -38,6 +38,22 @@ def test_config_validation():
     assert bench.DeblurConfig(size=64).haar_levels == 2
 
 
+def test_bad_instance_settings_are_rejected_up_front():
+    # a NaN or negative noise_std, or a beta that is not finite, used to
+    # run ista_oracle through its whole budget; a NaN snr_db to diverge
+    for kw in (dict(noise_std=math.nan), dict(noise_std=-0.1),
+               dict(beta=math.nan), dict(beta=math.inf)):
+        name, = kw
+        with pytest.raises(BadDims, match=name):
+            bench.LassoConfig(n=4, d=6, nnz=2, **kw)
+    for snr in (math.nan, -math.inf):
+        with pytest.raises(BadDims, match='snr_db'):
+            bench.DeblurConfig(size=8, snr_db=snr)
+    # inf means noiseless; zero noise and a zero beta stay valid too
+    assert bench.DeblurConfig(size=8, snr_db=math.inf).snr_db == math.inf
+    assert bench.LassoConfig(noise_std=0.0, beta=0.0).beta == 0.0
+
+
 def test_make_lasso_structure():
     cfg = bench.LassoConfig(n=15, d=20, nnz=4, noise_std=0.05, beta=0.2,
                             seed=9)

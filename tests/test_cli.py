@@ -286,12 +286,27 @@ def test_runs_ending_before_their_first_iteration(tmp_path):
     for args in (['solve', '--problem', path, '--scheme', 'generalized',
                   '--rho', '1.0'],
                  ['refsolve', '--problem', path, '--rho', '1.0'],
-                 ['bench', 'deblur', '--size', '8', '--snr', 'nan',
+                 ['bench', 'deblur', '--size', '8', '--alpha-tv', 'nan',
                   '--out', str(tmp_path / 'out')]):
         proc = run_cli(args)
         assert proc.returncode in (1, 2), args
         assert 'Traceback' not in proc.stderr, args
         assert 'diverged' in proc.stderr, args
+
+
+def test_bad_instance_settings_are_usage_errors(tmp_path):
+    out = str(tmp_path / 'out')
+    for args, name in (
+            (['lasso', '--n', '4', '--d', '6', '--nnz', '2', '--noise-std',
+              'nan'], 'noise_std'),
+            (['lasso', '--n', '4', '--d', '6', '--nnz', '2', '--beta', 'nan'],
+             'beta'),
+            (['deblur', '--size', '8', '--snr', 'nan'], 'snr_db')):
+        proc = run_cli(['bench', *args, '--out', out], timeout=60)
+        assert proc.returncode == 1, args
+        assert proc.stderr.startswith('error: ') and name in proc.stderr, \
+            proc.stderr
+    assert not os.path.exists(out)
 
 
 def test_bench_deblur_default_tol_is_reachable(tmp_path):

@@ -642,6 +642,39 @@ def test_exact_direct_solve_matches_dense_solve(make, rho):
     assert res.inner_iters == 1 and res.z is res.x_next
 
 
+def test_exact_lasso_solve_takes_f_from_the_optimality_condition(
+        monkeypatch):
+    # after the first iteration builds the system, the direct branch gives
+    # the memo grad f(u) = rho A^T (c - A u), so no iteration evaluates the
+    # gradient or applies H = F^T F; the trace objective still equals Phi(z)
+    p = bench.make_lasso(bench.LassoConfig(n=50, d=75, seed=1))
+    f = p.blocks[0].f
+    H = f.normal[0]
+    calls = {'gradient': 0, 'H': 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(prox.QuadraticLS, 'gradient',
+                        counted('gradient', prox.QuadraticLS.gradient))
+    monkeypatch.setattr(H, 'apply', counted('H', H.apply))
+    seen = []
+
+    def cb(s, rec):
+        seen.append(dict(calls))
+        want = problem.objective(p, s.z)
+        assert abs(rec.objective - want) <= 1e-12 * abs(want)
+
+    res = outer.solve(p, outer.OuterParams(rho=1.0, scheme='exact'),
+                      callbacks=[cb])
+    assert res.converged and res.iterations > 10
+    assert seen[0] == {'gradient': 1, 'H': 1}
+    assert all(c == seen[0] for c in seen)
+
+
 def test_exact_cg_fallback_never_materializes_the_blur(monkeypatch):
     p = bench.make_deblur(bench.DeblurConfig(size=8, blur_size=5))
 

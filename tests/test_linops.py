@@ -444,6 +444,31 @@ def test_back_substitute_through_ill_conditioned_dense_block():
         assert np.linalg.norm(bs.solve_H(w) - ue) <= 1e-7 * np.linalg.norm(ue)
 
 
+def test_direct_solver_inverts_a_dense_sum_to_the_back_sub_bound():
+    # K = H + rho I with condition number 1e8 is solved through its cached
+    # inverse as closely as the ill-conditioned back substitution above
+    rng = np.random.default_rng(12)
+    n, rho = 40, 1e-9
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    h = q @ np.diag(np.logspace(0.0, -8.0, n) - rho) @ q.T
+    h = 0.5 * (h + h.T)
+    k = h + rho * np.eye(n)
+    assert np.linalg.cond(k) > 0.9e8
+    solve = linops.direct_solver(DenseOp(h), IdentityOp(n), rho)
+    for _ in range(3):
+        rhs = rng.standard_normal(n)
+        want = np.linalg.solve(k, rhs)
+        assert np.linalg.norm(solve(rhs) - want) <= 1e-7 * np.linalg.norm(want)
+
+
+def test_direct_solver_rejects_a_sum_that_is_not_positive_definite():
+    rng = np.random.default_rng(13)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    h = q @ np.diag([-3.0, 1.0, 1.0, 2.0, 2.0, 4.0]) @ q.T
+    with pytest.raises(np.linalg.LinAlgError):
+        linops.direct_solver(DenseOp(0.5 * (h + h.T)), IdentityOp(6), 1.0)
+
+
 def test_back_sub_rejects_rank_deficient_blocks():
     rng = np.random.default_rng(9)
     good = DenseOp(rng.standard_normal((8, 3)))

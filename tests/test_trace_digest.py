@@ -6,6 +6,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), 'tools', 'trace_digest.py')
 LINE = re.compile(r'(lasso20x30-0|deblur8) '
@@ -30,20 +32,23 @@ sys.path[:0] = {paths!r}
 from bosvs import bench, outer
 from trace_digest import digest
 p = bench.make_lasso(bench.LassoConfig(n=300, d=400, seed=0))
-res = outer.solve(p, outer.OuterParams(rho=1.0, scheme='multistep',
+res = outer.solve(p, outer.OuterParams(rho=1.0, scheme={scheme!r},
                                        max_outer_iters=1000),
                   raise_on_maxiter=False)
 print(res.reason, res.iterations, digest(res))
 '''
 
 
-def test_two_thread_runs_repeat_their_bits():
-    # lasso bits depend on the BLAS thread count (the cached F^T F and its
-    # products split their sums by thread), so they are checked to repeat
-    # at a fixed count, not to agree between counts
+@pytest.mark.parametrize('scheme', ['multistep', 'exact'])
+def test_two_thread_runs_repeat_their_bits(scheme):
+    # lasso bits depend on the BLAS thread count (the cached F^T F, its
+    # products and the exact scheme's symv over (F^T F + rho I)^{-1} split
+    # their sums by thread), so they are checked to repeat at a fixed
+    # count, not to agree between counts
     root = os.path.dirname(os.path.dirname(TOOL))
     code = TWO_THREAD_RUN.format(paths=[os.path.join(root, 'src'),
-                                        os.path.dirname(TOOL)])
+                                        os.path.dirname(TOOL)],
+                                 scheme=scheme)
     env = dict(os.environ, OPENBLAS_NUM_THREADS='2', OMP_NUM_THREADS='2',
                MKL_NUM_THREADS='2')
     outs = []
