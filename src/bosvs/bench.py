@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BadDims, MaxItersReached
 from .linops import (BlurOperator, DenseOp, DiffOperator, HaarTransform,
                      IdentityOp, NegIdentityOp, VStackOp, ZeroOp)
-from .outer import ALPHA, OuterParams, solve, write_summary, write_trace_csv
+from .outer import OuterParams, solve, write_summary, write_trace_csv
 from .problem import Block, Problem
 from .prox import (GroupL2, QuadraticLS, ScaledL1, ZeroProx, ZeroSmooth,
                    soft_threshold)
@@ -35,9 +35,10 @@ class DeblurConfig:
     """Deblurring instance settings.
 
     size x size image (power of two, >= 8), uniform blur_size x
-    blur_size kernel (odd), Gaussian noise at snr_db (math.inf for
-    noiseless), total-variation weight alpha_tv, wavelet-sparsity weight
-    beta_wav, Haar levels (default 2 for sizes up to 64, else 4).
+    blur_size kernel (odd), Gaussian noise at snr_db (above about -6165,
+    where 10^(-snr_db/20) overflows; math.inf for noiseless), finite
+    total-variation and wavelet-sparsity weights alpha_tv, beta_wav >= 0,
+    Haar levels (default 2 for sizes up to 64, else 4).
     """
 
     def __init__(self, size=32, blur_size=3, snr_db=40.0, alpha_tv=0.005,
@@ -47,8 +48,11 @@ class DeblurConfig:
             raise BadDims(f"size must be a power of two >= 8, got {size}")
         if blur_size % 2 == 0 or blur_size < 1:
             raise BadDims("blur_size must be odd and positive")
-        if not snr_db > -math.inf:
-            raise BadDims(f"snr_db must be a number above -inf, got {snr_db}")
+        if not snr_db > -20.0 * math.log10(np.finfo(float).max):
+            raise BadDims(f"snr_db must be above about -6165 dB, got {snr_db}")
+        if not (0.0 <= alpha_tv < math.inf and 0.0 <= beta_wav < math.inf):
+            raise BadDims(f"need finite alpha_tv, beta_wav >= 0, got "
+                          f"alpha_tv={alpha_tv}, beta_wav={beta_wav}")
         self.size = size
         self.blur_size = int(blur_size)
         self.snr_db = float(snr_db)
@@ -185,15 +189,15 @@ def _stable_digits_callback():
     return cb
 
 
-def refsolve(p, rho, alpha=ALPHA, cap=REFERENCE_CAP):
+def refsolve(p, rho, cap=REFERENCE_CAP):
     """Reference objective by the accelerated refinement protocol.
 
-    Runs the accelerated scheme until the objective's first eight
-    significant digits hold over REFERENCE_WINDOW iterations, at most
+    Runs the accelerated scheme at penalty rho until the objective's first
+    eight significant digits hold over REFERENCE_WINDOW iterations, at most
     ``cap`` in all. Returns the SolveResult; its final objective is phi_star.
     """
-    params = OuterParams(rho=rho, alpha=alpha, scheme='accelerated',
-                         stop_tol=0.0, max_outer_iters=cap)
+    params = OuterParams(rho=rho, scheme='accelerated', stop_tol=0.0,
+                         max_outer_iters=cap)
     return solve(p, params, callbacks=[_stable_digits_callback()],
                  raise_on_maxiter=False)
 

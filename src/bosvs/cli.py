@@ -5,9 +5,10 @@ deblur`` / ``bench lasso`` generate an instance, save it, and run one or
 all schemes on it against the final objective of a ``refsolve`` run
 (deblur) or the ISTA oracle's (lasso); ``refsolve`` runs the accelerated
 refinement protocol (``--summary`` adds ``phi_star`` to the ``solve``
-summary). A flag left out takes the library's default. Exit code 0 on
-convergence (for ``refsolve``, also when its stable-digits rule ends
-the run), 2 when a run stopped short of it, 1 on any other error.
+summary). A flag left out takes the library's default; the correction
+stepsize is the constant ``outer.ALPHA``. Exit code 0 on convergence
+(for ``refsolve``, also when its stable-digits rule ends the run), 2
+when a run stopped short of it, 1 on any other error.
 """
 
 import argparse
@@ -43,15 +44,13 @@ def _given(args, *names):
 def _build_params(args, scheme):
     return OuterParams(
         scheme=scheme, relax=RelaxationParams(**_given(args, 'enabled')),
-        **_given(args, 'rho', 'alpha', 'accel_schedule', 'stop_tol',
+        **_given(args, 'rho', 'accel_schedule', 'stop_tol',
                  'max_outer_iters'))
 
 
 def _add_common(sp, rho_default=None, tol_default=None):
     sp.add_argument('--rho', type=float, required=rho_default is None,
                     default=rho_default, help='penalty parameter')
-    sp.add_argument('--alpha', type=float,
-                    help='correction stepsize in (0, 1)')
     shown = '' if tol_default is None else f' (default: {tol_default:g})'
     sp.add_argument('--tol', dest='stop_tol', type=float, default=tol_default,
                     help=f'stopping tolerance on e_k{shown}')
@@ -102,8 +101,7 @@ def _cmd_bench_deblur(args):
     p = make_deblur(DeblurConfig(**_given(
         args, 'size', 'blur_size', 'snr_db', 'alpha_tv', 'beta_wav', 'seed',
         'haar_levels')))
-    ref = refsolve(p, args.rho if args.ref_rho is None else args.ref_rho,
-                   **_given(args, 'alpha'))
+    ref = refsolve(p, args.rho if args.ref_rho is None else args.ref_rho)
     return _bench_run_matrix(p, args, _last(ref, 'reference run').objective)
 
 
@@ -123,7 +121,7 @@ def _cmd_bench_lasso(args):
 
 def _cmd_refsolve(args):
     p = load_problem(args.problem)
-    result = refsolve(p, args.rho, **_given(args, 'alpha', 'cap'))
+    result = refsolve(p, args.rho, **_given(args, 'cap'))
     if args.summary:
         write_summary(result, args.summary,
                       extra={'phi_star': result.final_objective})
@@ -183,7 +181,6 @@ def build_parser():
     rf = sub.add_parser('refsolve', help='reference objective protocol')
     rf.add_argument('--problem', required=True)
     rf.add_argument('--rho', type=float, required=True)
-    rf.add_argument('--alpha', type=float)
     rf.add_argument('--cap', type=int)
     rf.add_argument('--summary')
     rf.set_defaults(func=_cmd_refsolve)

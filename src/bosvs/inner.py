@@ -247,15 +247,14 @@ class BlockWorkspace:
 class InnerContext:
     """Per-(outer iteration, block) inputs shared by every scheme.
 
-    ``ls``, ``relax`` and ``k`` feed the line searches.
+    ``atc`` and ``atc_rho`` are A^T c and rho A^T c, in the workspace's
+    coordinates, for c = b_ik - lam/rho; ``ls``, ``relax`` and ``k`` feed
+    the line searches.
     """
 
     def __init__(self, p, i, b_ik, lam, rho, ls=None, relax=None, k=1,
                  workspace=None):
-        self.p = p
         self.i = i
-        self.b_ik = b_ik
-        self.lam = lam
         self.rho = float(rho)
         self.ls = ls if ls is not None else LineSearchParams()
         self.relax = relax if relax is not None else RelaxationParams()
@@ -263,11 +262,8 @@ class InnerContext:
         self.workspace = workspace if workspace is not None \
             else BlockWorkspace(p.blocks[i].A)
         self.block = self.workspace.block or p.blocks[i]
-        # penalty center: rho/2 ||A u - c_vec||^2 with c_vec = b_ik - lam/rho
-        self.c_vec = b_ik - lam / rho
-        # A^T c_vec and rho A^T c_vec in the workspace's coordinates
         self.atc = self.workspace.to_basis(
-            self.block.A.apply_adjoint(self.c_vec))
+            self.block.A.apply_adjoint(b_ik - lam / rho))
         self.atc_rho = self.rho * self.atc
 
 
@@ -288,7 +284,7 @@ def _bb_seed(ctx, bst):
 
 def _composite_argmin(ctx, grad_vec, center, delta):
     """argmin <g, u> + (delta/2)||u - center||^2 + h(u)
-    + (rho/2)||A u - c_vec||^2 over the solvable classes."""
+    + (rho/2)||A u - b_ik + lam/rho||^2 over the solvable classes."""
     rho = ctx.rho
     rhs = delta * center - grad_vec + ctx.atc_rho
     if ctx.block.h.is_zero:

@@ -180,6 +180,9 @@ class ScaledIdentityOp(LinOp):
     def to_dense(self):     # ``_add`` materializes c I beside a dense H
         return self.scalar * np.eye(self.rows)
 
+    def self_gram(self):
+        return ScaledIdentityOp(self.cols, self.scalar * self.scalar)
+
     def solve_shifted(self, delta, rho, rhs):
         return rhs / (delta + rho * self.scalar)
 
@@ -212,6 +215,9 @@ class ZeroOp(LinOp):
     def apply_adjoint(self, w):
         self._check_adjoint(w)
         return np.zeros(self.cols)
+
+    def self_gram(self):
+        return ZeroOp(self.cols, self.cols)
 
     def solve_shifted(self, delta, rho, rhs):
         return rhs / delta
@@ -247,6 +253,10 @@ class VStackOp(LinOp):
             out += p.apply_adjoint(w[at:at + p.rows])
             at += p.rows
         return out
+
+    def self_gram(self):
+        grams = [p.self_gram() for p in self.parts]
+        return None if None in grams else functools.reduce(_add, grams)
 
 
 class HaarTransform(LinOp):
@@ -537,11 +547,12 @@ def _rank_deficient(g):
 
 def direct_solver(h, g, rho):
     """rhs -> (H + rho G)^{-1} rhs for Gram values H >= 0 and G, or None
-    when G fails the back-substitution rank test. A dense sum is inverted
-    once (potrf, potri); a solve is one symv, its sums split by BLAS thread."""
-    if _rank_deficient(g):
-        return None
+    when the sum fails the back-substitution rank test (a dense sum: when
+    G does). A dense sum is inverted once (potrf, potri); a solve is one
+    symv, its sums split by BLAS thread; any other is solved structurally."""
     k = _add(h, g, rho)
+    if _rank_deficient(g if isinstance(k, DenseOp) else k):
+        return None
     if isinstance(k, DenseOp):
         c, info = lapack.dpotrf(k._a)
         if info == 0:

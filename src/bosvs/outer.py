@@ -7,8 +7,8 @@ error measure
     e^k = theta_1 ||z_+ - y_+|| + theta_2 ||A z - b|| + theta_3 sqrt(sum r_i),
 
 then corrects: y_1 <- z_1, y_+ <- y_+ + alpha M^{-T} H (z_+ - y_+) by
-back substitution, lam <- lam + alpha rho (A z - b). The reported
-solution is the z iterate.
+back substitution, lam <- lam + alpha rho (A z - b), with the stepsize
+alpha = ALPHA. The reported solution is the z iterate.
 
 ``solve`` drives outer_step until e^k falls below the stopping tolerance.
 ``energy_E`` evaluates the merit function used by the decay diagnostics
@@ -37,7 +37,7 @@ __all__ = ['OuterParams', 'OuterState', 'TraceRecord', 'SolveResult',
            'write_trace_csv', 'write_summary', 'CSV_BASE_FIELDS']
 
 SCHEMES = ('generalized', 'multistep', 'accelerated', 'exact')
-ALPHA = 0.999     # default correction stepsize
+ALPHA = 0.999     # correction stepsize, inside (0, 1)
 
 CSV_BASE_FIELDS = ['k', 'time_s', 'objective', 'e_k', 'primal_res', 'E_k',
                    'inner_iters_total']
@@ -66,8 +66,6 @@ class OuterParams:
     ----------
     rho : float
         Penalty parameter, finite and > 0.
-    alpha : float
-        Correction stepsize, strictly inside (0, 1).
     scheme : str
         One of 'generalized', 'multistep', 'accelerated', 'exact', used
         for every block.
@@ -89,19 +87,17 @@ class OuterParams:
     reference : (x_star, lam_star) or None
         Enables the E_k column in the trace.
 
-    The error-measure weights ``thetas`` are ``default_thetas(rho, sigma,
-    alpha)``, and the inner forcing functions of e^{k-1} are
-    ``psi_multistep`` and ``psi_accelerated``.
+    ``ALPHA`` is the correction stepsize, ``default_thetas(rho, sigma,
+    ALPHA)`` weighs e^k where it is formed, and ``psi_multistep`` and
+    ``psi_accelerated`` are the inner forcing functions of e^{k-1}.
     """
 
-    def __init__(self, rho, alpha=ALPHA, scheme='accelerated',
+    def __init__(self, rho, scheme='accelerated',
                  accel_schedule=ACCEL_SCHEDULES[0], ls=None, relax=None,
                  stop_tol=None, max_outer_iters=100000, cg_tol=CG_TOL,
                  reference=None):
         if not 0.0 < rho < np.inf:
             raise ValueError("rho must be finite and positive")
-        if not (0.0 < alpha < 1.0):
-            raise ValueError("alpha must lie strictly inside (0, 1)")
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}")
         if accel_schedule not in ACCEL_SCHEDULES:
@@ -111,13 +107,10 @@ class OuterParams:
         if not 0.0 < cg_tol < np.inf:
             raise ValueError("cg_tol must be finite and positive")
         self.rho = float(rho)
-        self.alpha = float(alpha)
         self.scheme = scheme
         self.accel_schedule = accel_schedule
         self.ls = ls if ls is not None else LineSearchParams()
         self.relax = relax if relax is not None else RelaxationParams()
-        self.thetas = tuple(float(t) for t in default_thetas(
-            self.rho, self.ls.sigma, self.alpha))
         self.stop_tol = stop_tol
         self.max_outer_iters = int(max_outer_iters)
         if self.max_outer_iters < 1:
@@ -199,11 +192,11 @@ class SolveResult:
         return self.trace[-1].objective if self.trace else None
 
 
-def error_measure(theta, z, y, r_list, p, primal_vec=None):
+def error_measure(theta, z, y, r_list, p, primal_vec):
     """theta_1 ||z_+ - y_+|| + theta_2 ||Az - b|| + theta_3 sqrt(sum r_i).
 
-    The consensus term drops block 1. r_i must be nonnegative. Passing a
-    precomputed A z - b avoids one operator sweep.
+    The consensus term drops block 1. r_i must be nonnegative.
+    ``primal_vec`` is A z - b, which the caller's sweep already holds.
     """
     t1, t2, t3 = theta
     z = p.check_vector(z)
@@ -215,8 +208,6 @@ def error_measure(theta, z, y, r_list, p, primal_vec=None):
         raise NegativeR(f"negative inexactness term in {list(r_arr)}")
     off1 = int(p.offsets[1])
     cons = np.linalg.norm(z[off1:] - y[off1:])
-    if primal_vec is None:
-        primal_vec = p.apply_A(z) - p.b
     return float(t1 * cons + t2 * np.linalg.norm(primal_vec)
                  + t3 * np.sqrt(r_arr.sum()))
 
@@ -307,17 +298,18 @@ def outer_step(p, s, params, bs, workspaces=None, t0=None):
         prods[i] = p.blocks[i].A.apply(z[sl])
     r_list, _, x_next, f_known = zip(*steps)
     primal_vec = sum(prods, np.zeros(p.rows)) - p.b
-    e = error_measure(params.thetas, z, s.y, r_list, p, primal_vec)
+    e = error_measure(default_thetas(params.rho, params.ls.sigma, ALPHA),
+                      z, s.y, r_list, p, primal_vec)
     E = None if params.reference is None else energy_E(
-        p, s, params.rho, params.alpha, params.reference, bs)
+        p, s, params.rho, ALPHA, params.reference, bs)
     rec = TraceRecord(s.k, time.perf_counter() - t0, objective(p, z, f_known),
                       e, np.linalg.norm(primal_vec), E,
                       [b.l_prev for b in s.bstates], s.deltas, s.Gammas)
     if np.isfinite(e):      # commit, with the correction step
         off1 = int(p.offsets[1])
         s.y = np.concatenate([z[:off1], back_substitute(
-            bs, s.y[off1:], z[off1:], params.alpha)])
-        s.lam = s.lam + params.alpha * params.rho * primal_vec
+            bs, s.y[off1:], z[off1:], ALPHA)])
+        s.lam = s.lam + ALPHA * params.rho * primal_vec
         s.x = np.concatenate(x_next)
         s.z = z
         s.e_prev = e

@@ -75,8 +75,8 @@ class ScaledL1(NonsmoothPart):
     """h(x) = weight * ||x||_1."""
 
     def __init__(self, weight):
-        if weight < 0:
-            raise NegativeThreshold("l1 weight must be >= 0")
+        if not 0.0 <= weight < np.inf:
+            raise NegativeThreshold("l1 weight must be finite and >= 0")
         self.weight = float(weight)
 
     def value(self, x):
@@ -90,8 +90,8 @@ class GroupL2(NonsmoothPart):
     """h(x) = weight * sum over groups of ||x_g||_2 (strided layout)."""
 
     def __init__(self, weight, group_size=2):
-        if weight < 0:
-            raise NegativeThreshold("group weight must be >= 0")
+        if not 0.0 <= weight < np.inf:
+            raise NegativeThreshold("group weight must be finite and >= 0")
         if group_size < 1:
             raise BadDims(f"group_size must be >= 1, got {group_size}")
         self.weight = float(weight)

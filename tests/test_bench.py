@@ -46,9 +46,17 @@ def test_bad_instance_settings_are_rejected_up_front():
         name, = kw
         with pytest.raises(BadDims, match=name):
             bench.LassoConfig(n=4, d=6, nnz=2, **kw)
-    for snr in (math.nan, -math.inf):
+    # below about -6165 dB the noise scale 10^(-snr_db/20) overflows; a
+    # term weight that is NaN or inf is named before any solve
+    for snr in (math.nan, -math.inf, -7000.0, -6165.1):
         with pytest.raises(BadDims, match='snr_db'):
             bench.DeblurConfig(size=8, snr_db=snr)
+    for kw in (dict(alpha_tv=math.nan), dict(alpha_tv=-1e-3),
+               dict(beta_wav=math.inf), dict(beta_wav=math.nan)):
+        name, = kw
+        with pytest.raises(BadDims, match=name):
+            bench.DeblurConfig(size=8, **kw)
+    assert bench.DeblurConfig(size=8, snr_db=-6165.0).snr_db == -6165.0
     # inf means noiseless; zero noise and a zero beta stay valid too
     assert bench.DeblurConfig(size=8, snr_db=math.inf).snr_db == math.inf
     assert bench.LassoConfig(noise_std=0.0, beta=0.0).beta == 0.0

@@ -230,7 +230,7 @@ def public(obj):
 
 
 def test_parser_defaults_match_the_library(monkeypatch):
-    # the 19 flags that have a library default stay None when left out,
+    # the 17 flags that have a library default stay None when left out,
     # so cli.py holds none of their values
     ap = cli.build_parser()
     bare = {('bench', 'lasso', '--out', 'o'): ('n', 'd', 'nnz', 'noise_std',
@@ -239,9 +239,9 @@ def test_parser_defaults_match_the_library(monkeypatch):
                 'size', 'blur_size', 'snr_db', 'alpha_tv', 'beta_wav',
                 'seed', 'haar_levels'),
             ('solve', '--problem', 'p', '--scheme', 'exact', '--rho', '1'): (
-                'alpha', 'max_outer_iters', 'accel_schedule', 'enabled'),
-            ('refsolve', '--problem', 'p', '--rho', '1'): ('alpha', 'cap')}
-    assert sum(len(names) for names in bare.values()) == 19
+                'max_outer_iters', 'accel_schedule', 'enabled'),
+            ('refsolve', '--problem', 'p', '--rho', '1'): ('cap',)}
+    assert sum(len(names) for names in bare.values()) == 17
     for argv, names in bare.items():
         args = ap.parse_args(list(argv))
         assert [getattr(args, k) for k in names] == [None] * len(names)
@@ -286,7 +286,7 @@ def test_runs_ending_before_their_first_iteration(tmp_path):
     for args in (['solve', '--problem', path, '--scheme', 'generalized',
                   '--rho', '1.0'],
                  ['refsolve', '--problem', path, '--rho', '1.0'],
-                 ['bench', 'deblur', '--size', '8', '--alpha-tv', 'nan',
+                 ['bench', 'deblur', '--size', '8', '--snr', '-6000',
                   '--out', str(tmp_path / 'out')]):
         proc = run_cli(args)
         assert proc.returncode in (1, 2), args
@@ -301,7 +301,10 @@ def test_bad_instance_settings_are_usage_errors(tmp_path):
               'nan'], 'noise_std'),
             (['lasso', '--n', '4', '--d', '6', '--nnz', '2', '--beta', 'nan'],
              'beta'),
-            (['deblur', '--size', '8', '--snr', 'nan'], 'snr_db')):
+            (['deblur', '--size', '8', '--snr', 'nan'], 'snr_db'),
+            (['deblur', '--size', '8', '--snr', '-7000'], 'snr_db'),
+            (['deblur', '--size', '8', '--alpha-tv', 'nan'], 'alpha_tv'),
+            (['deblur', '--size', '8', '--beta-wav', 'inf'], 'beta_wav')):
         proc = run_cli(['bench', *args, '--out', out], timeout=60)
         assert proc.returncode == 1, args
         assert proc.stderr.startswith('error: ') and name in proc.stderr, \

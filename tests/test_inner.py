@@ -17,7 +17,12 @@ def quad_smooth(rows, n, seed, lipschitz=None):
     return prox.QuadraticLS(F, data, lipschitz=lipschitz)
 
 
-def one_block(A, f, h, rho=0.7, k=1, relaxed=False, ls=None, seed=3):
+def one_block(*args, **kwargs):
+    return block_and_inputs(*args, **kwargs)[:2]
+
+
+def block_and_inputs(A, f, h, rho=0.7, k=1, relaxed=False, ls=None, seed=3):
+    """(ctx, bst, p, b_ik, lam) of a one-block problem."""
     rng = np.random.default_rng(seed)
     p = problem.Problem([problem.Block(A, f, h)], rng.standard_normal(A.rows))
     if ls is None:
@@ -27,7 +32,7 @@ def one_block(A, f, h, rho=0.7, k=1, relaxed=False, ls=None, seed=3):
     lam = rng.standard_normal(A.rows)
     ctx = inner.InnerContext(p, 0, b_ik, lam, rho, ls, relax, k)
     bst = inner.BlockState(rng.standard_normal(A.cols), ls.delta_min)
-    return ctx, bst
+    return ctx, bst, p, b_ik, lam
 
 
 class PlainSmooth(problem.SmoothPart):
@@ -272,13 +277,14 @@ def test_generalized_accepts_first_trial_once_delta_min_large():
     f = quad_smooth(10, 6, seed=91)
     zeta = float(np.linalg.eigvalsh(f.F.to_dense().T @ f.F.to_dense())[-1])
     A = linops.DenseOp(rng.standard_normal((10, 6)))
-    ctx, bst = one_block(A, f, prox.ZeroProx(), k=2, seed=92)
+    ctx, bst, p, b_ik, lam = block_and_inputs(A, f, prox.ZeroProx(), k=2,
+                                              seed=92)
     bst.delta_min = 1.01 * zeta / (1.0 - ctx.ls.sigma)
     bst.x_prev = bst.x + rng.standard_normal(6)
     bst.delta_prev = bst.delta_min
     floor = bst.delta_min
     for k in range(2, 32):
-        ctx = inner.InnerContext(ctx.p, 0, ctx.b_ik, ctx.lam, ctx.rho,
+        ctx = inner.InnerContext(p, 0, b_ik, lam, ctx.rho,
                                  ctx.ls, ctx.relax, k, ctx.workspace)
         x_old = bst.x
         res = inner.generalized_step(ctx, bst)
@@ -294,14 +300,14 @@ def run_generalized(ls, n_iters, seed):
     zeta = float(np.linalg.eigvalsh(f.F.to_dense().T @ f.F.to_dense())[-1])
     rng = np.random.default_rng(seed + 1)
     A = linops.DenseOp(rng.standard_normal((11, 8)))
-    ctx, bst = one_block(A, f, prox.ZeroProx(), ls=ls, seed=seed + 2)
-    base = ctx.b_ik.copy()
+    ctx, bst, p, base, lam = block_and_inputs(A, f, prox.ZeroProx(), ls=ls,
+                                              seed=seed + 2)
     deltas = []
     for k in range(1, n_iters + 1):
         # wander the coupling target the way an outer loop would, so the
         # subproblem never collapses to an exact float fixed point
         b_ik = base + 0.3 * rng.standard_normal(base.size)
-        ctx = inner.InnerContext(ctx.p, 0, b_ik, ctx.lam, ctx.rho,
+        ctx = inner.InnerContext(p, 0, b_ik, lam, ctx.rho,
                                  ctx.ls, ctx.relax, k, ctx.workspace)
         x_old = bst.x
         res = inner.generalized_step(ctx, bst)
@@ -326,9 +332,10 @@ def test_line_search_diverged_on_cliff():
     for step in (inner.generalized_step,
                  lambda ctx, bst: inner.multistep_loop(ctx, bst, np.inf),
                  lambda ctx, bst: inner.accelerated_loop(ctx, bst, np.inf)):
-        ctx, bst = one_block(linops.IdentityOp(4), CliffSmooth(),
-                             prox.ZeroProx(), rho=1.0, seed=110)
-        ctx = inner.InnerContext(ctx.p, 0, 0.5 * np.ones(4), np.zeros(4),
+        ctx, bst, p, _, _ = block_and_inputs(
+            linops.IdentityOp(4), CliffSmooth(), prox.ZeroProx(), rho=1.0,
+            seed=110)
+        ctx = inner.InnerContext(p, 0, 0.5 * np.ones(4), np.zeros(4),
                                  ctx.rho, ctx.ls, ctx.relax, ctx.k)
         bst.x = np.zeros(4)
         with pytest.raises(LineSearchDiverged) as info:
@@ -541,13 +548,13 @@ def test_accelerated_constant_schedule():
 
 
 def test_accelerated_first_step_is_prox_linear_for_zero_smooth():
-    ctx, bst = one_block(linops.IdentityOp(5), prox.ZeroSmooth(),
-                         prox.ZeroProx(), seed=200)
+    ctx, bst, p, b_ik, lam = block_and_inputs(
+        linops.IdentityOp(5), prox.ZeroSmooth(), prox.ZeroProx(), seed=200)
     x0 = bst.x.copy()
     res = inner.accelerated_loop(ctx, bst, np.inf)
     assert res.inner_iters == 1
-    direct = prox_linear_step(ctx.p, 0, x0, ctx.ls.delta_min,
-                              ctx.b_ik, ctx.lam, ctx.rho)
+    direct = prox_linear_step(p, 0, x0, ctx.ls.delta_min, b_ik, lam,
+                              ctx.rho)
     assert np.allclose(res.x_next, direct, rtol=0, atol=1e-14)
 
 
@@ -584,12 +591,14 @@ def test_exact_cg_matches_dense_solve():
     n = 36
     A = linops.DenseOp(rng.standard_normal((40, n)))
     f = blur5_smooth(6, seed=221)
-    ctx, bst = one_block(A, f, prox.ZeroProx(), rho=0.8, seed=222)
+    ctx, bst, _, b_ik, lam = block_and_inputs(A, f, prox.ZeroProx(), rho=0.8,
+                                              seed=222)
     assert ctx.workspace.system(f, 0.8)[0] is None
     res = inner.exact_block_solve(ctx, bst, cg_tol=1e-12)
     G = A.to_dense().T @ A.to_dense()
     Hf = f.F.to_dense().T @ f.F.to_dense()
-    rhs = 0.8 * A.to_dense().T @ ctx.c_vec + f.F.to_dense().T @ f.data
+    c = b_ik - lam / 0.8
+    rhs = 0.8 * A.to_dense().T @ c + f.F.to_dense().T @ f.data
     ue = np.linalg.solve(Hf + 0.8 * G, rhs)
     assert np.linalg.norm(res.x_next - ue) <= 1e-8 * np.linalg.norm(ue)
     assert res.r == 0.0
@@ -616,12 +625,11 @@ def test_context_defaults_run_every_scheme():
         assert res.inner_iters >= 1 and np.all(np.isfinite(res.z))
 
 
-def dense_exact_system(p, i, ctx):
+def dense_exact_system(p, i, rho, c):
     """(H_f + rho A^T A, rho A^T c + F^T data) of block i, materialized."""
     blk = p.blocks[i]
     A, F = blk.A.to_dense(), blk.f.F.to_dense()
-    return (F.T @ F + ctx.rho * A.T @ A,
-            ctx.rho * A.T @ ctx.c_vec + F.T @ blk.f.data)
+    return F.T @ F + rho * A.T @ A, rho * A.T @ c + F.T @ blk.f.data
 
 
 @pytest.mark.parametrize('make, rho', [
@@ -636,7 +644,7 @@ def test_exact_direct_solve_matches_dense_solve(make, rho):
     ctx = inner.InnerContext(p, 0, b_ik, lam, rho)
     bst = inner.BlockState(np.zeros(p.dims[0]), 1e-10)
     res = inner.exact_block_solve(ctx, bst)
-    K, rhs = dense_exact_system(p, 0, ctx)
+    K, rhs = dense_exact_system(p, 0, rho, b_ik - lam / rho)
     ue = np.linalg.solve(K, rhs)
     assert np.linalg.norm(res.x_next - ue) <= 1e-10 * np.linalg.norm(ue)
     assert res.inner_iters == 1 and res.z is res.x_next
@@ -729,15 +737,35 @@ def test_exact_singular_system_falls_back_to_cg():
     assert res.converged and res.trace[0].inner_iters[0] > 1
 
 
+def test_exact_tv_denoising_is_solved_directly():
+    # F = I has the Gram value I, and I + rho D^T D is definite although
+    # D^T D is singular (constants lie in its null space): one direct solve
+    # per block and iteration, and no CG
+    d = np.random.default_rng(0).standard_normal(50)
+    p = problem.Problem([
+        problem.Block(linops.DiffOperator(5, 10),
+                      prox.QuadraticLS(linops.IdentityOp(50), d),
+                      prox.ZeroProx()),
+        problem.Block(linops.NegIdentityOp(100), prox.ZeroSmooth(),
+                      prox.ScaledL1(0.1))], np.zeros(100))
+    exact, gen = (outer.solve(p, outer.OuterParams(rho=1.0, scheme=scheme))
+                  for scheme in ('exact', 'generalized'))
+    assert exact.converged and gen.converged
+    assert all(rec.inner_iters == [1, 1] for rec in exact.trace)
+    assert exact.final_objective == pytest.approx(gen.final_objective,
+                                                  rel=1e-8)
+
+
 def test_exact_prox_path_sign_conditions():
     rng = np.random.default_rng(230)
     n = 30
     w = 0.25
-    ctx, bst = one_block(linops.NegIdentityOp(n), prox.ZeroSmooth(),
-                         prox.ScaledL1(w), rho=1.7, seed=231)
+    ctx, bst, _, b_ik, lam = block_and_inputs(
+        linops.NegIdentityOp(n), prox.ZeroSmooth(), prox.ScaledL1(w), rho=1.7,
+        seed=231)
     res = inner.exact_block_solve(ctx, bst)
     u = res.x_next
-    g = 1.7 * (u + ctx.c_vec)  # rho A^T (A u - c) for A = -I
+    g = 1.7 * (u + b_ik - lam / 1.7)  # rho A^T (A u - c) for A = -I
     on = np.abs(u) > 0
     assert np.max(np.abs(g[on] + w * np.sign(u[on]))) <= 1e-10
     assert np.max(np.abs(g[~on])) <= w + 1e-10

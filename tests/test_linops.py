@@ -247,6 +247,13 @@ def test_gram_structured_fast_paths_are_exact():
     assert type(gram(a2, a3)) is ZeroOp
     d = DenseOp(np.arange(6.0).reshape(3, 2))
     assert type(gram(d, d)) is DenseOp
+    # an operator's own self_gram gives the same structured value
+    for a in (ident, neg, ScaledIdentityOp(n, 3.0), zero, h, a2, a3, two):
+        got, want = a.self_gram(), gram(a, a)
+        assert type(got) is type(want)
+        assert np.array_equal(got.to_dense(), want.to_dense())
+    stack = VStackOp([IdentityOp(16), BlurOperator.uniform(4, 4, 5)])
+    assert stack.self_gram() is None
     # and check their operands' lengths like any operator
     for g in (gram(ident, ident), gram(zero, zero)):
         with pytest.raises(DimensionMismatch):

@@ -60,17 +60,12 @@ def test_outer_params_validation():
     for cg_tol in (1e-12, 1e-14):      # the values acceptance runs pass
         assert outer.OuterParams(rho=1.0, cg_tol=cg_tol).cg_tol == cg_tol
     with pytest.raises(ValueError):
-        outer.OuterParams(rho=1.0, alpha=1.0)
-    with pytest.raises(ValueError):
         outer.OuterParams(rho=1.0, scheme='fastest')
     with pytest.raises(ValueError):
         outer.OuterParams(rho=1.0, scheme=['generalized', 'exact'])
     for scheme in ('accelerated', 'generalized'):
         with pytest.raises(ValueError):
             outer.OuterParams(rho=1.0, scheme=scheme, accel_schedule='bogus')
-    params = outer.OuterParams(rho=4.0)
-    assert params.thetas == outer.default_thetas(4.0, params.ls.sigma,
-                                                 params.alpha)
 
 
 def test_error_measure_formula():
@@ -84,10 +79,9 @@ def test_error_measure_formula():
     expect = 0.3 * np.linalg.norm(z[off1:] - y[off1:]) \
         + 1.7 * np.linalg.norm(p.apply_A(z) - p.b) \
         + 0.01 * np.sqrt(0.25)
-    got = outer.error_measure(theta, z, y, r, p)
-    assert got == pytest.approx(expect, rel=1e-14)
     pv = p.apply_A(z) - p.b
-    assert outer.error_measure(theta, z, y, r, p, pv) == got
+    got = outer.error_measure(theta, z, y, r, p, pv)
+    assert got == pytest.approx(expect, rel=1e-14)
     # the consensus term ignores block 1
     z2 = z.copy()
     z2[:off1] += 5.0
@@ -97,9 +91,9 @@ def test_error_measure_formula():
         + 1.7 * np.linalg.norm(pv2) + 0.01 * np.sqrt(0.25)
     assert e2 == pytest.approx(expect2, rel=1e-14)
     with pytest.raises(NegativeR):
-        outer.error_measure(theta, z, y, [0.1, -1e-12], p)
+        outer.error_measure(theta, z, y, [0.1, -1e-12], p, pv)
     with pytest.raises(DimensionMismatch):
-        outer.error_measure(theta, z, y, [0.1], p)
+        outer.error_measure(theta, z, y, [0.1], p, pv)
 
 
 def test_outer_step_matches_hand_sweep():
@@ -126,13 +120,14 @@ def test_outer_step_matches_hand_sweep():
         z[p.block_slice(i)] = res.z
         results.append(res)
     primal = p.apply_A(z) - p.b
-    e = outer.error_measure(params.thetas, z, y0, [r.r for r in results],
-                            p, primal)
+    e = outer.error_measure(
+        outer.default_thetas(params.rho, params.ls.sigma, outer.ALPHA), z, y0,
+        [r.r for r in results], p, primal)
     off1 = int(p.offsets[1])
     y_expect = np.concatenate(
         [z[:off1], linops.back_substitute(bs, y0[off1:], z[off1:],
-                                          params.alpha)])
-    lam_expect = lam0 + params.alpha * params.rho * primal
+                                          outer.ALPHA)])
+    lam_expect = lam0 + outer.ALPHA * params.rho * primal
 
     assert np.array_equal(s.z, z)
     assert np.array_equal(s.y, y_expect)
@@ -173,13 +168,13 @@ def test_outer_step_applies_each_block_operator_once_per_iterate(
     for i, blk in enumerate(p.blocks):
         blk.A.apply = counted(i, blk.A.apply)
     seen = []
-    step = outer.generalized_step
+    sweep_b_i_k = outer.b_i_k
 
-    def recording_step(ctx, bst):
-        seen.append((ctx.i, ctx.b_ik.copy()))
-        return step(ctx, bst)
+    def recording_b_i_k(b, prods, i):
+        seen.append((i, sweep_b_i_k(b, prods, i)))
+        return seen[-1][1]
 
-    monkeypatch.setattr(outer, 'generalized_step', recording_step)
+    monkeypatch.setattr(outer, 'b_i_k', recording_b_i_k)
     s, _ = outer.outer_step(p, s, params, bs)
     # A_2 y_2, A_3 y_3, then A_i z_i once per block: 2m - 1 applies
     assert sorted(applies) == [0, 1, 1, 2, 2]
@@ -777,7 +772,7 @@ def test_trace_reports_energy_from_entering_state():
     # the generalized step's weight is 1/delta
     assert rec.gammas == [1.0 / d for d in rec.deltas]
     snap = types.SimpleNamespace(x=x0, y=y0, lam=lam0, Gammas=rec.gammas)
-    expect = outer.energy_E(p, snap, params.rho, params.alpha,
+    expect = outer.energy_E(p, snap, params.rho, outer.ALPHA,
                             (x_star, lam_star), bs)
     assert rec.E_k == pytest.approx(expect, rel=1e-13)
 

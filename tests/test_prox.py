@@ -143,6 +143,16 @@ def test_scaled_l1_weight_folds_into_threshold():
         ScaledL1(-1.0)
 
 
+def test_term_weights_must_be_finite_and_nonnegative():
+    # a NaN weight fails no weight < 0 test, and inf makes h(0) = inf * 0 NaN
+    for weight in (-1.0, np.nan, np.inf, -np.inf):
+        for part in (ScaledL1, GroupL2):
+            with pytest.raises(NegativeThreshold, match='finite'):
+                part(weight)
+    for part in (ScaledL1(0.0), GroupL2(0.0)):
+        assert part.value(np.zeros(4)) == 0.0
+
+
 def test_zero_parts():
     z = ZeroProx()
     v = np.array([1.0, -2.0])

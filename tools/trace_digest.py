@@ -3,17 +3,18 @@ keeps every iterate bit for bit.
 
     python3 tools/trace_digest.py [--quick] [--src DIR]
 
-Runs each scheme on the benchmark instances: lasso 300x400 seeds 0-4
-(rho=1, default stop_tol, budget 1000) and deblur32 (rho=5e-4,
-stop_tol=1e-3, budget 3000); ``--quick`` runs lasso 20x30 seed 0 and
-deblur8 with the same settings instead. Prints one line per solve:
-instance, scheme, stop reason, outer iterations, total inner iterations
-and a SHA-256 over every trace record's k, objective, e_k, primal
-residual, inner counts, deltas and gammas, and the bytes of the final x,
-z and lam; a change that moves only rounding changes the digest, but
-can still be checked for equal counts. ``--src`` imports the library
-from another checkout's ``src`` (default: this one's), so two versions
-can be compared by diffing their output. BLAS is pinned to one thread.
+Runs each scheme of the imported ``outer.SCHEMES`` on the benchmark
+instances: lasso 300x400 seeds 0-4 (rho=1, default stop_tol, budget 1000)
+and deblur32 (rho=5e-4, stop_tol=1e-3, budget 3000); ``--quick`` runs
+lasso 20x30 seed 0 and deblur8 with the same settings instead. Prints one
+line per solve: instance, scheme, stop reason, outer iterations, total
+inner iterations and a SHA-256 over every trace record's k, objective,
+e_k, primal residual, inner counts, deltas and gammas, and the bytes of
+the final x, z and lam; a change that moves only rounding changes the
+digest, but can still be checked for equal counts. ``--src`` imports
+the library from another checkout's ``src`` (default: this one's), so two
+versions can be compared by diffing their output. BLAS is pinned to one
+thread.
 """
 
 import argparse
@@ -22,7 +23,6 @@ import os
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SCHEMES = ('generalized', 'multistep', 'accelerated', 'exact')
 
 
 def instances(quick):
@@ -63,7 +63,7 @@ def main(argv=None):
     from bosvs import outer
     for label, build, rho, stop_tol, budget in instances(args.quick):
         p = build()
-        for scheme in SCHEMES:
+        for scheme in outer.SCHEMES:
             res = outer.solve(p, outer.OuterParams(
                 rho=rho, scheme=scheme, stop_tol=stop_tol,
                 max_outer_iters=budget), raise_on_maxiter=False)
