@@ -38,7 +38,7 @@ class DeblurConfig:
     blur_size kernel (odd), Gaussian noise at snr_db (above about -6165,
     where 10^(-snr_db/20) overflows; math.inf for noiseless), finite
     total-variation and wavelet-sparsity weights alpha_tv, beta_wav >= 0,
-    Haar levels (default 2 for sizes up to 64, else 4).
+    Haar levels (default 2 for sizes up to 64, else 4) and seed >= 0.
     """
 
     def __init__(self, size=32, blur_size=3, snr_db=40.0, alpha_tv=0.005,
@@ -53,6 +53,8 @@ class DeblurConfig:
         if not (0.0 <= alpha_tv < math.inf and 0.0 <= beta_wav < math.inf):
             raise BadDims(f"need finite alpha_tv, beta_wav >= 0, got "
                           f"alpha_tv={alpha_tv}, beta_wav={beta_wav}")
+        if seed < 0:    # numpy's generators reject it without naming it
+            raise BadDims(f"seed must be >= 0, got {seed}")
         self.size = size
         self.blur_size = int(blur_size)
         self.snr_db = float(snr_db)
@@ -76,6 +78,8 @@ class LassoConfig:
         if not (0.0 <= noise_std < math.inf and math.isfinite(beta)):
             raise BadDims(f"need a finite noise_std >= 0 and a finite beta, "
                           f"got noise_std={noise_std}, beta={beta}")
+        if seed < 0:    # numpy's generators reject it without naming it
+            raise BadDims(f"seed must be >= 0, got {seed}")
         self.n = int(n)
         self.d = int(d)
         self.nnz = int(nnz)

@@ -154,7 +154,9 @@ class BlockState:
     def value(self, f, u):
         """f(u), memoized with grad f(u). A part with a ``normal`` form
         (H, b, c) gives it from the memoized gradient as
-        0.5 <u, grad f(u) - b> + c, with no F apply."""
+        0.5 <u, grad f(u) - b> + c, with no F apply; f = 0 gives 0."""
+        if f.is_zero:
+            return 0.0
         if f.normal is not None:
             _, b, c = f.normal
             return 0.5 * float(u @ (self.gradient(f, u) - b)) + c
@@ -270,8 +272,8 @@ class InnerContext:
 def _bb_seed(ctx, bst):
     """Safeguarded BB stepsize <grad f(x) - grad f(x_prev), dx> / ||dx||^2
     from the gradients ``bst`` holds, so only the one at x^k is new;
-    delta_min_i when unavailable (k = 1 or dx = 0)."""
-    if ctx.k > 1 and bst.x_prev is not None:
+    delta_min_i when unavailable (k = 1 or dx = 0) or 0 (f = 0)."""
+    if ctx.k > 1 and bst.x_prev is not None and not ctx.block.f.is_zero:
         d = bst.x - bst.x_prev
         nn = float(d @ d)
         if nn != 0.0:

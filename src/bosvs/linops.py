@@ -568,19 +568,29 @@ def identity_multiple(g):
     return g.scalar
 
 
+def block_slices(dims):
+    """The slice of each block, of lengths dims, in their stacked vector."""
+    stops = np.cumsum(dims).tolist()
+    return [slice(stop - d, stop) for d, stop in zip(dims, stops)]
+
+
 class BackSubMatrices:
     """Gram structure of the coupling blocks beyond the first.
 
     ``mblocks[i][j]`` (j <= i) is the Gram value A_{i+2}^T A_{j+2}; the
-    diagonal ones are the blocks H_i of H. ``offsets`` locate each block
-    in the stacked (z - y) vector.
+    diagonal ones are the blocks H_i of H. ``slices`` locate each block
+    in the stacked (z - y) vector, and ``below[i]`` lists (j, M_ji) for
+    each nonzero block j > i of column i.
     """
 
     def __init__(self, mblocks, dims):
         self.mblocks = mblocks
         self.dims = dims
-        self.offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-        self.total = int(self.offsets[-1])
+        self.slices = block_slices(dims)
+        self.total = sum(dims)
+        self.below = [[(j, mblocks[j][i]) for j in range(i + 1, len(dims))
+                       if not isinstance(mblocks[j][i], ZeroOp)]
+                      for i in range(len(dims))]
 
     @property
     def nblocks(self):
@@ -588,14 +598,11 @@ class BackSubMatrices:
 
     def _split(self, v):
         v = np.asarray(v, dtype=float).ravel()
-        return [v[self.offsets[i]:self.offsets[i + 1]]
-                for i in range(self.nblocks)]
+        return [v[sl] for sl in self.slices]
 
     def _terms_T(self, i, parts):
         """M_{ji}^T parts[j] for each nonzero block j > i."""
-        return [self.mblocks[j][i].apply_adjoint(parts[j])
-                for j in range(i + 1, self.nblocks)
-                if not isinstance(self.mblocks[j][i], ZeroOp)]
+        return [g.apply_adjoint(parts[j]) for j, g in self.below[i]]
 
     def apply_H(self, v):
         return _cat([self.mblocks[i][i].apply(p)
@@ -654,11 +661,11 @@ def back_substitute(bs, y_plus, z_plus, alpha):
     if y_plus.size != bs.total or z_plus.size != bs.total:
         raise DimensionMismatch("back_substitute: block vector length "
                                 f"{bs.total} expected")
-    w = bs._split(z_plus - y_plus)
+    w = z_plus - y_plus
     u = [None] * bs.nblocks
     for i in reversed(range(bs.nblocks)):
-        acc = bs.mblocks[i][i].apply(w[i])
+        acc = bs.mblocks[i][i].apply(w[bs.slices[i]])
         for term in bs._terms_T(i, u):
             acc = acc - term
         u[i] = bs.mblocks[i][i].solve_shifted(0.0, 1.0, acc)
-    return y_plus + alpha * _cat(u)
+    return y_plus + alpha * (u[0] if len(u) == 1 else _cat(u))

@@ -17,6 +17,7 @@ when a reference solution is available.
 
 import csv
 import json
+import math
 import time
 
 import numpy as np
@@ -45,8 +46,8 @@ CSV_BASE_FIELDS = ['k', 'time_s', 'objective', 'e_k', 'primal_res', 'E_k',
 
 def default_thetas(rho, sigma, alpha):
     """Error-measure weights tied to the penalty and safeguard constants."""
-    return (1e-6 * np.sqrt(rho), np.sqrt(rho),
-            1e-6 * np.sqrt(sigma / (1.0 - alpha)))
+    return (1e-6 * math.sqrt(rho), math.sqrt(rho),
+            1e-6 * math.sqrt(sigma / (1.0 - alpha)))
 
 
 def psi_multistep(t):
@@ -135,7 +136,7 @@ class OuterState:
         self.y = x0.copy()
         self.z = None
         self.lam = lam0
-        self.bstates = [BlockState(x0[p.block_slice(i)].copy(),
+        self.bstates = [BlockState(x0[p.slices[i]].copy(),
                                    params.ls.delta_min)
                         for i in range(p.m)]
         self.e_prev = np.inf
@@ -151,7 +152,7 @@ class OuterState:
 
 
 class TraceRecord:
-    """One outer iteration's diagnostics."""
+    """One outer iteration's diagnostics; its lists are kept as given."""
 
     def __init__(self, k, time_s, objective, e_k, primal_res, E_k,
                  inner_iters, deltas, gammas):
@@ -161,9 +162,9 @@ class TraceRecord:
         self.e_k = float(e_k)
         self.primal_res = float(primal_res)
         self.E_k = None if E_k is None else float(E_k)
-        self.inner_iters = list(inner_iters)
-        self.deltas = list(deltas)
-        self.gammas = list(gammas)
+        self.inner_iters = inner_iters
+        self.deltas = deltas
+        self.gammas = gammas
 
     @property
     def inner_iters_total(self):
@@ -201,15 +202,14 @@ def error_measure(theta, z, y, r_list, p, primal_vec):
     t1, t2, t3 = theta
     z = p.check_vector(z)
     y = p.check_vector(y)
-    r_arr = np.asarray(r_list, dtype=float).ravel()
-    if r_arr.size != p.m:
+    if len(r_list) != p.m:
         raise DimensionMismatch(f"need {p.m} inexactness terms")
-    if np.any(r_arr < 0.0):
-        raise NegativeR(f"negative inexactness term in {list(r_arr)}")
-    off1 = int(p.offsets[1])
-    cons = np.linalg.norm(z[off1:] - y[off1:])
-    return float(t1 * cons + t2 * np.linalg.norm(primal_vec)
-                 + t3 * np.sqrt(r_arr.sum()))
+    if any(r < 0.0 for r in r_list):    # a NaN passes, as in numpy
+        raise NegativeR(f"negative inexactness term in {list(r_list)}")
+    d = z[p.tail] - y[p.tail]      # norms as np.linalg.norm takes them
+    return float(t1 * math.sqrt(d.dot(d))
+                 + t2 * math.sqrt(primal_vec.dot(primal_vec))
+                 + t3 * math.sqrt(np.add.reduce(r_list)))
 
 
 def energy_E(p, state, rho, alpha, reference, bs):
@@ -227,15 +227,15 @@ def energy_E(p, state, rho, alpha, reference, bs):
     x_star, lam_star = reference
     x_star = p.check_vector(x_star)
     lam_star = np.asarray(lam_star, dtype=float).ravel()
-    off1 = int(p.offsets[1])
-    pterm = bs.p_quadratic(state.y[off1:] - x_star[off1:]) if p.m > 1 else 0.0
+    pterm = (bs.p_quadratic(state.y[p.tail] - x_star[p.tail]) if p.m > 1
+             else 0.0)
     dl = state.lam - lam_star
     out = rho * pterm + float(dl @ dl) / rho
-    for i, g in enumerate(state.Gammas):
+    for sl, g in zip(p.slices, state.Gammas):
         if g == 0.0:
             raise MissingReference("no inner step taken yet")
         if g != np.inf:
-            d = state.x[p.block_slice(i)] - x_star[p.block_slice(i)]
+            d = state.x[sl] - x_star[sl]
             out += alpha * float(d @ d) / g
     return float(out)
 
@@ -287,11 +287,10 @@ def outer_step(p, s, params, bs, workspaces=None, t0=None):
     if t0 is None:
         t0 = time.perf_counter()
     z = np.zeros(p.n)
-    prods = [None] + [p.blocks[j].A.apply(s.y[p.block_slice(j)])
+    prods = [None] + [p.blocks[j].A.apply(s.y[p.slices[j]])
                       for j in range(1, p.m)]
     steps = []
-    for i in range(p.m):
-        sl = p.block_slice(i)
+    for i, sl in enumerate(p.slices):
         steps.append(_step_block(p, i, s, params, workspaces[i],
                                  b_i_k(p.b, prods, i)))
         z[sl] = steps[-1][1]
@@ -303,12 +302,11 @@ def outer_step(p, s, params, bs, workspaces=None, t0=None):
     E = None if params.reference is None else energy_E(
         p, s, params.rho, ALPHA, params.reference, bs)
     rec = TraceRecord(s.k, time.perf_counter() - t0, objective(p, z, f_known),
-                      e, np.linalg.norm(primal_vec), E,
+                      e, math.sqrt(primal_vec.dot(primal_vec)), E,
                       [b.l_prev for b in s.bstates], s.deltas, s.Gammas)
-    if np.isfinite(e):      # commit, with the correction step
-        off1 = int(p.offsets[1])
-        s.y = np.concatenate([z[:off1], back_substitute(
-            bs, s.y[off1:], z[off1:], ALPHA)])
+    if math.isfinite(e):    # commit, with the correction step
+        s.y = np.concatenate([z[p.slices[0]], back_substitute(
+            bs, s.y[p.tail], z[p.tail], ALPHA)])
         s.lam = s.lam + ALPHA * params.rho * primal_vec
         s.x = np.concatenate(x_next)
         s.z = z

@@ -12,6 +12,7 @@ objective L_i and a KKT residual report.
 import numpy as np
 
 from .errors import DimensionMismatch
+from .linops import block_slices
 
 __all__ = ['SmoothPart', 'NonsmoothPart', 'Block', 'Problem', 'KKTReport',
            'objective', 'L_i_k', 'kkt_residual']
@@ -110,6 +111,8 @@ class Problem:
         self.offsets = np.concatenate([[0], np.cumsum(self.dims)]).astype(int)
         self.n = int(self.offsets[-1])
         self.rows = rows
+        self.slices = block_slices(self.dims)
+        self.tail = slice(self.slices[0].stop, None)    # blocks 2..m
 
     @property
     def m(self):
@@ -124,10 +127,7 @@ class Problem:
 
     def split(self, x):
         x = self.check_vector(x)
-        return [x[self.offsets[i]:self.offsets[i + 1]] for i in range(self.m)]
-
-    def block_slice(self, i):
-        return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
+        return [x[sl] for sl in self.slices]
 
     def apply_A(self, x):
         """sum_i A_i x_i for a stacked block vector."""
@@ -189,7 +189,7 @@ def kkt_residual(p, x, lam):
     primal = np.linalg.norm(p.apply_A(x) - p.b)
     blocks = []
     for i, blk in enumerate(p.blocks):
-        xi = x[p.block_slice(i)]
+        xi = x[p.slices[i]]
         step = xi - blk.f.gradient(xi) - blk.A.apply_adjoint(lam)
         blocks.append(np.linalg.norm(xi - blk.h.prox(step, 1.0)))
     return KKTReport(primal, blocks)

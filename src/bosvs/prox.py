@@ -80,7 +80,7 @@ class ScaledL1(NonsmoothPart):
         self.weight = float(weight)
 
     def value(self, x):
-        return self.weight * float(np.sum(np.abs(x)))
+        return self.weight * float(np.abs(x).sum())
 
     def prox(self, v, t):
         return soft_threshold(v, self.weight * t)

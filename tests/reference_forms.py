@@ -22,7 +22,7 @@ def b_i_k(p, i, z, y):
     out = p.b.copy()
     for j in range(p.m):
         if j != i:
-            out -= p.blocks[j].A.apply((z if j < i else y)[p.block_slice(j)])
+            out -= p.blocks[j].A.apply((z if j < i else y)[p.slices[j]])
     return out
 
 

@@ -56,6 +56,13 @@ def test_bad_instance_settings_are_rejected_up_front():
         name, = kw
         with pytest.raises(BadDims, match=name):
             bench.DeblurConfig(size=8, **kw)
+    # numpy's generators reject a negative seed without naming it
+    for seed in (-1, -2 ** 40):
+        with pytest.raises(BadDims, match='seed'):
+            bench.LassoConfig(n=4, d=6, nnz=2, seed=seed)
+        with pytest.raises(BadDims, match='seed'):
+            bench.DeblurConfig(size=8, seed=seed)
+    assert bench.LassoConfig(n=4, d=6, nnz=2, seed=0).seed == 0
     assert bench.DeblurConfig(size=8, snr_db=-6165.0).snr_db == -6165.0
     # inf means noiseless; zero noise and a zero beta stay valid too
     assert bench.DeblurConfig(size=8, snr_db=math.inf).snr_db == math.inf

@@ -304,11 +304,15 @@ def test_bad_instance_settings_are_usage_errors(tmp_path):
             (['deblur', '--size', '8', '--snr', 'nan'], 'snr_db'),
             (['deblur', '--size', '8', '--snr', '-7000'], 'snr_db'),
             (['deblur', '--size', '8', '--alpha-tv', 'nan'], 'alpha_tv'),
-            (['deblur', '--size', '8', '--beta-wav', 'inf'], 'beta_wav')):
+            (['deblur', '--size', '8', '--beta-wav', 'inf'], 'beta_wav'),
+            (['lasso', '--n', '4', '--d', '6', '--nnz', '2', '--seed', '-1'],
+             'seed'),
+            (['deblur', '--size', '8', '--seed', '-1'], 'seed')):
         proc = run_cli(['bench', *args, '--out', out], timeout=60)
         assert proc.returncode == 1, args
         assert proc.stderr.startswith('error: ') and name in proc.stderr, \
             proc.stderr
+        assert 'Traceback' not in proc.stderr, args
     assert not os.path.exists(out)
 
 

@@ -81,6 +81,21 @@ def test_dimension_checks():
         DiffOperator(0, 3)
 
 
+def test_every_operator_checks_and_flattens_its_input():
+    # a list, an (n, 1) column and a 1-D array with the same values give
+    # the same bytes; a wrong length is a DimensionMismatch either way
+    rng = np.random.default_rng(3)
+    for op in make_ops(rng):
+        for fn, n in ((op.apply, op.cols), (op.apply_adjoint, op.rows)):
+            v = rng.standard_normal(n)
+            out = fn(v)
+            for same in (list(v), v.reshape(n, 1), v.copy()):
+                assert fn(same).tobytes() == out.tobytes(), type(op)
+            for bad in (np.ones(n + 1), np.ones(n - 1), [1.0] * (n + 1)):
+                with pytest.raises(DimensionMismatch):
+                    fn(bad)
+
+
 def test_unrepresentable_operators_are_rejected():
     for rows, cols in ((12, -1), (0, 3), (3, 0)):
         with pytest.raises(DimensionMismatch):

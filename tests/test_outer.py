@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -42,6 +43,13 @@ def test_default_thetas_and_psi():
     assert outer.psi_multistep(1e-12) == pytest.approx(1e-12 ** 1.1,
                                                        rel=1e-12)
     assert outer.psi_accelerated(0.3) == pytest.approx(0.15, rel=1e-14)
+
+
+def test_default_thetas_keep_the_numpy_square_roots_bitwise():
+    for rho in (1e-12, 5e-4, 0.8, 1.0, 3.0, 7.5e6):
+        got = outer.default_thetas(rho, 1e-5, outer.ALPHA)
+        assert got == (1e-6 * np.sqrt(rho), np.sqrt(rho),
+                       1e-6 * np.sqrt(1e-5 / (1.0 - outer.ALPHA)))
 
 
 def test_outer_params_validation():
@@ -96,6 +104,26 @@ def test_error_measure_formula():
         outer.error_measure(theta, z, y, [0.1], p, pv)
 
 
+def test_error_measure_checks_each_inexactness_term():
+    p = lasso_like(8)
+    rng = np.random.default_rng(9)
+    z, y = rng.standard_normal(p.n), rng.standard_normal(p.n)
+    pv = p.apply_A(z) - p.b
+    theta = (0.3, 1.7, 0.01)
+    # a NaN beside a negative term does not hide it, in either order
+    for r in ([np.nan, -1e-12], [-1e-12, np.nan]):
+        with pytest.raises(NegativeR):
+            outer.error_measure(theta, z, y, r, p, pv)
+    # a negative zero is not negative; the norms are np.linalg.norm's
+    off1 = int(p.offsets[1])
+    expect = 0.3 * np.linalg.norm(z[off1:] - y[off1:]) \
+        + 1.7 * np.linalg.norm(pv) + 0.01 * np.sqrt(0.0)
+    assert outer.error_measure(theta, z, y, [0.0, -0.0], p, pv) == expect
+    for r in ([], [0.1, 0.2, 0.3]):
+        with pytest.raises(DimensionMismatch):
+            outer.error_measure(theta, z, y, r, p, pv)
+
+
 def test_outer_step_matches_hand_sweep():
     p = lasso_like(21, m=3)
     params = outer.OuterParams(rho=0.8, scheme='generalized')
@@ -114,10 +142,10 @@ def test_outer_step_matches_hand_sweep():
         b_ik = b_i_k(p, i, z, y0)
         ctx = inner.InnerContext(p, i, b_ik, lam0, params.rho, params.ls,
                                  params.relax, 1)
-        bst = inner.BlockState(x0[p.block_slice(i)].copy(),
+        bst = inner.BlockState(x0[p.slices[i]].copy(),
                                params.ls.delta_min)
         res = inner.generalized_step(ctx, bst)
-        z[p.block_slice(i)] = res.z
+        z[p.slices[i]] = res.z
         results.append(res)
     primal = p.apply_A(z) - p.b
     e = outer.error_measure(
@@ -143,7 +171,7 @@ def test_outer_step_matches_hand_sweep():
     assert rec.gammas == [r.Gamma for r in results]
     for i, res in enumerate(results):
         bst = s.bstates[i]
-        assert np.array_equal(bst.x_prev, x0[p.block_slice(i)])
+        assert np.array_equal(bst.x_prev, x0[p.slices[i]])
         assert bst.delta_prev == res.delta_final
         assert bst.Gamma_prev == res.Gamma
         assert bst.l_prev == res.inner_iters
@@ -734,7 +762,7 @@ def test_energy_formula_and_modes():
     gen = base
     ms = base
     for i in range(p.m):
-        d = state.x[p.block_slice(i)] - x_star[p.block_slice(i)]
+        d = state.x[p.slices[i]] - x_star[p.slices[i]]
         gen += alpha * deltas[i] * float(d @ d)
         ms += alpha * float(d @ d) / state.Gammas[i]
     got_ms = outer.energy_E(p, state, rho, alpha, (x_star, lam_star), bs)
@@ -747,7 +775,7 @@ def test_energy_formula_and_modes():
     # infinite weight (exact baseline) drops the block from the sum
     state.Gammas = [np.inf, 0.5, 0.8]
     drop = outer.energy_E(p, state, rho, alpha, (x_star, lam_star), bs)
-    d0 = state.x[p.block_slice(0)] - x_star[p.block_slice(0)]
+    d0 = state.x[p.slices[0]] - x_star[p.slices[0]]
     assert drop == pytest.approx(ms - alpha * float(d0 @ d0) / 2.0,
                                  rel=1e-12)
     with pytest.raises(MissingReference):
@@ -809,6 +837,25 @@ def test_trace_csv_format_and_determinism(tmp_path):
     # and identical final iterates, bitwise
     assert np.array_equal(res.z, res2.z)
     assert np.array_equal(res.lam, res2.lam)
+
+
+def test_trace_fields_are_python_numbers(tmp_path):
+    p = lasso_like(71)
+    for scheme in outer.SCHEMES:
+        res = outer.solve(p, outer.OuterParams(
+            rho=1.0, scheme=scheme, max_outer_iters=5),
+            raise_on_maxiter=False)
+        assert res.trace, scheme
+        for rec in res.trace:
+            assert type(rec.k) is int and rec.E_k is None
+            for v in (rec.time_s, rec.objective, rec.e_k, rec.primal_res):
+                assert type(v) is float, scheme
+            assert all(type(v) is int for v in rec.inner_iters)
+            assert all(type(v) is float for v in rec.deltas + rec.gammas)
+        path = str(tmp_path / f'{scheme}.json')
+        doc = outer.write_summary(res, path)
+        with open(path) as fh:
+            assert json.load(fh) == doc
 
 
 def test_write_summary(tmp_path):
