@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .errors import BadDims, MaxItersReached
+from .errors import BadDims, MaxItersReached, SolverError
 from .linops import (BlurOperator, DenseOp, DiffOperator, HaarTransform,
                      IdentityOp, NegIdentityOp, VStackOp, ZeroOp)
 from .outer import OuterParams, solve, write_summary, write_trace_csv
@@ -69,15 +69,16 @@ class DeblurConfig:
 
 
 class LassoConfig:
-    """Lasso instance settings: d x n Gaussian design, sparse truth."""
+    """Lasso instance: d x n Gaussian design, sparse truth; n, d >= 1,
+    0 <= nnz <= n, finite noise_std and l1 weight beta >= 0, seed >= 0."""
 
     def __init__(self, n=100, d=150, nnz=10, noise_std=0.01, beta=0.1,
                  seed=0):
         if n < 1 or d < 1 or nnz < 0 or nnz > n:
             raise BadDims("need n, d >= 1 and 0 <= nnz <= n")
-        if not (0.0 <= noise_std < math.inf and math.isfinite(beta)):
-            raise BadDims(f"need a finite noise_std >= 0 and a finite beta, "
-                          f"got noise_std={noise_std}, beta={beta}")
+        if not (0.0 <= noise_std < math.inf and 0.0 <= beta < math.inf):
+            raise BadDims(f"need finite noise_std, beta >= 0, got "
+                          f"noise_std={noise_std}, beta={beta}")
         if seed < 0:    # numpy's generators reject it without naming it
             raise BadDims(f"seed must be >= 0, got {seed}")
         self.n = int(n)
@@ -166,7 +167,8 @@ def ista_oracle(F, data, beta, tol=1e-10):
 
     Fixed stepsize 1/L with L the largest eigenvalue of F^T F. Stops when
     the unit-scale fixed-point residual ||u - prox(u - grad, beta)||
-    drops below tol; raises MaxItersReached after ISTA_MAXIT iterations.
+    drops below tol. Raises SolverError at the first iterate whose
+    residual is not finite, MaxItersReached after ISTA_MAXIT iterations.
     """
     f = QuadraticLS(DenseOp(np.asarray(F, dtype=float)), data)
     L = f.lipschitz
@@ -174,10 +176,13 @@ def ista_oracle(F, data, beta, tol=1e-10):
         return np.zeros(f.F.cols)
     t = 1.0 / L
     u = np.zeros(f.F.cols)
-    for _ in range(ISTA_MAXIT):
+    for k in range(ISTA_MAXIT):
         g = f.gradient(u)
-        if np.linalg.norm(u - soft_threshold(u - g, beta)) <= tol:
+        res = np.linalg.norm(u - soft_threshold(u - g, beta))
+        if res <= tol:
             return u
+        if not math.isfinite(res):    # NaN or inf from here on
+            raise SolverError(f"ista_oracle: residual {res} at iteration {k}")
         u = soft_threshold(u - t * g, t * beta)
     raise MaxItersReached(
         message=f"ista_oracle: no convergence in {ISTA_MAXIT}")

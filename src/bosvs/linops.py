@@ -585,16 +585,11 @@ class BackSubMatrices:
 
     def __init__(self, mblocks, dims):
         self.mblocks = mblocks
-        self.dims = dims
         self.slices = block_slices(dims)
         self.total = sum(dims)
         self.below = [[(j, mblocks[j][i]) for j in range(i + 1, len(dims))
                        if not isinstance(mblocks[j][i], ZeroOp)]
                       for i in range(len(dims))]
-
-    @property
-    def nblocks(self):
-        return len(self.dims)
 
     def _split(self, v):
         v = np.asarray(v, dtype=float).ravel()
@@ -662,8 +657,8 @@ def back_substitute(bs, y_plus, z_plus, alpha):
         raise DimensionMismatch("back_substitute: block vector length "
                                 f"{bs.total} expected")
     w = z_plus - y_plus
-    u = [None] * bs.nblocks
-    for i in reversed(range(bs.nblocks)):
+    u = [None] * len(bs.slices)
+    for i in reversed(range(len(u))):
         acc = bs.mblocks[i][i].apply(w[bs.slices[i]])
         for term in bs._terms_T(i, u):
             acc = acc - term

@@ -193,11 +193,11 @@ class SolveResult:
         return self.trace[-1].objective if self.trace else None
 
 
-def error_measure(theta, z, y, r_list, p, primal_vec):
+def error_measure(theta, z, y, r_list, p, primal_res):
     """theta_1 ||z_+ - y_+|| + theta_2 ||Az - b|| + theta_3 sqrt(sum r_i).
 
     The consensus term drops block 1. r_i must be nonnegative.
-    ``primal_vec`` is A z - b, which the caller's sweep already holds.
+    ``primal_res`` is ||A z - b||, which the caller's sweep already took.
     """
     t1, t2, t3 = theta
     z = p.check_vector(z)
@@ -206,9 +206,8 @@ def error_measure(theta, z, y, r_list, p, primal_vec):
         raise DimensionMismatch(f"need {p.m} inexactness terms")
     if any(r < 0.0 for r in r_list):    # a NaN passes, as in numpy
         raise NegativeR(f"negative inexactness term in {list(r_list)}")
-    d = z[p.tail] - y[p.tail]      # norms as np.linalg.norm takes them
-    return float(t1 * math.sqrt(d.dot(d))
-                 + t2 * math.sqrt(primal_vec.dot(primal_vec))
+    d = z[p.tail] - y[p.tail]      # the norm as np.linalg.norm takes it
+    return float(t1 * math.sqrt(d.dot(d)) + t2 * primal_res
                  + t3 * math.sqrt(np.add.reduce(r_list)))
 
 
@@ -297,13 +296,14 @@ def outer_step(p, s, params, bs, workspaces=None, t0=None):
         prods[i] = p.blocks[i].A.apply(z[sl])
     r_list, _, x_next, f_known = zip(*steps)
     primal_vec = sum(prods, np.zeros(p.rows)) - p.b
+    primal = math.sqrt(primal_vec.dot(primal_vec))    # np.linalg.norm's bits
     e = error_measure(default_thetas(params.rho, params.ls.sigma, ALPHA),
-                      z, s.y, r_list, p, primal_vec)
+                      z, s.y, r_list, p, primal)
     E = None if params.reference is None else energy_E(
         p, s, params.rho, ALPHA, params.reference, bs)
     rec = TraceRecord(s.k, time.perf_counter() - t0, objective(p, z, f_known),
-                      e, math.sqrt(primal_vec.dot(primal_vec)), E,
-                      [b.l_prev for b in s.bstates], s.deltas, s.Gammas)
+                      e, primal, E, [b.l_prev for b in s.bstates], s.deltas,
+                      s.Gammas)
     if math.isfinite(e):    # commit, with the correction step
         s.y = np.concatenate([z[p.slices[0]], back_substitute(
             bs, s.y[p.tail], z[p.tail], ALPHA)])
@@ -364,18 +364,14 @@ def solve(p, params, callbacks=None, raise_on_maxiter=True):
 
 
 def write_trace_csv(records, path, m):
-    """Write the per-iteration trace; one delta column per block."""
+    """Write the trace: CSV_BASE_FIELDS, then one delta column per block."""
     fields = CSV_BASE_FIELDS + [f"delta_{i + 1}" for i in range(m)]
     with open(path, 'w', newline='') as fh:
         w = csv.writer(fh)
         w.writerow(fields)
         for r in records:
-            row = [r.k, repr(r.time_s), repr(r.objective), repr(r.e_k),
-                   repr(r.primal_res),
-                   '' if r.E_k is None else repr(r.E_k),
-                   r.inner_iters_total]
-            row += [repr(d) for d in r.deltas]
-            w.writerow(row)
+            row = [getattr(r, f) for f in CSV_BASE_FIELDS] + r.deltas
+            w.writerow(['' if v is None else repr(v) for v in row])
 
 
 def write_summary(result, path, extra=None):

@@ -3,7 +3,7 @@
 A ``Problem`` is m blocks, each with a coupling operator A_i, a smooth
 convex part f_i (gradient available) and a nonsmooth convex part h_i
 (prox available, value may be +inf), tied by sum_i A_i x_i = b. Block
-vectors are stored as one contiguous array with an offset table.
+vectors are stored as one contiguous array, block i in ``slices[i]``.
 
 The module-level functions evaluate the objective, the exact subproblem
 objective L_i and a KKT residual report.
@@ -108,8 +108,7 @@ class Problem:
         self.b = b
         self.meta = dict(meta or {})
         self.dims = [blk.dim for blk in blocks]
-        self.offsets = np.concatenate([[0], np.cumsum(self.dims)]).astype(int)
-        self.n = int(self.offsets[-1])
+        self.n = sum(self.dims)
         self.rows = rows
         self.slices = block_slices(self.dims)
         self.tail = slice(self.slices[0].stop, None)    # blocks 2..m

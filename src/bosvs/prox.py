@@ -160,7 +160,8 @@ class QuadraticLS(SmoothPart):
     ``gradient`` without a normal form. ``hess_gram`` is the Hessian as a
     Gram value: H, else F's structured ``self_gram``, else None (a
     matrix-free F is never materialized). ``lipschitz`` is the largest
-    eigenvalue of F^T F (power iteration on first use) unless given.
+    eigenvalue of F^T F (power iteration on first use) unless given; a given
+    one must be finite and >= 0.
     """
 
     def __init__(self, F, data, lipschitz=None):
@@ -169,6 +170,8 @@ class QuadraticLS(SmoothPart):
         if self.data.size != F.rows:
             raise DimensionMismatch(
                 f"data length {self.data.size} != operator rows {F.rows}")
+        if lipschitz is not None and not 0.0 <= lipschitz < np.inf:
+            raise BadDims(f"need a finite lipschitz >= 0, got {lipschitz}")
         self._lipschitz = None if lipschitz is None else float(lipschitz)
 
     @functools.cached_property

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from bosvs import bench, linops, outer, problem, prox
-from bosvs.errors import BadDims, MaxItersReached
+from bosvs.errors import BadDims, MaxItersReached, SolverError
 from bosvs.prox import soft_threshold
 
 
@@ -40,9 +40,11 @@ def test_config_validation():
 
 def test_bad_instance_settings_are_rejected_up_front():
     # a NaN or negative noise_std, or a beta that is not finite, used to
-    # run ista_oracle through its whole budget; a NaN snr_db to diverge
+    # run ista_oracle through its whole budget; a NaN snr_db to diverge;
+    # a negative beta was caught only by ScaledL1, whose message names no
+    # setting
     for kw in (dict(noise_std=math.nan), dict(noise_std=-0.1),
-               dict(beta=math.nan), dict(beta=math.inf)):
+               dict(beta=math.nan), dict(beta=math.inf), dict(beta=-1)):
         name, = kw
         with pytest.raises(BadDims, match=name):
             bench.LassoConfig(n=4, d=6, nnz=2, **kw)
@@ -196,6 +198,16 @@ def test_ista_oracle_beta_zero_and_budget(monkeypatch):
     monkeypatch.setattr(bench, 'ISTA_MAXIT', 3)
     with pytest.raises(MaxItersReached):
         bench.ista_oracle(F, data, 0.01)
+
+
+def test_ista_oracle_stops_at_a_non_finite_iterate():
+    # overflowing data used to spin through all ISTA_MAXIT iterations on
+    # NaN and then report an exhausted budget
+    F = np.random.default_rng(13).standard_normal((6, 4))
+    with np.errstate(over='ignore', invalid='ignore'):
+        with pytest.raises(SolverError, match='residual') as info:
+            bench.ista_oracle(F, 1e308 * np.ones(6), 0.1)
+    assert not isinstance(info.value, MaxItersReached)
 
 
 def test_refsolve_protocol_on_lasso():

@@ -106,6 +106,12 @@ def test_malformed_problem_file_is_an_error(tmp_path, capsys):
             (4, ident, flat, zero)):
         docs.append({'schema': problem_io.SCHEMA, 'b': {'zeros': rows},
                      'blocks': [{'A': A, 'f': f, 'h': h}]})
+    # a given Lipschitz constant that is NaN, negative or infinite
+    for bad in (float('nan'), -1.0, float('inf')):
+        doc = problem_io.problem_to_dict(
+            bench.make_lasso(bench.LassoConfig(n=20, d=30, seed=0)))
+        doc['blocks'][0]['f']['lipschitz'] = bad
+        docs.append(doc)
     for n, doc in enumerate(docs):
         path = str(tmp_path / f'bad{n}.json')
         with open(path, 'w') as fh:
@@ -301,6 +307,8 @@ def test_bad_instance_settings_are_usage_errors(tmp_path):
               'nan'], 'noise_std'),
             (['lasso', '--n', '4', '--d', '6', '--nnz', '2', '--beta', 'nan'],
              'beta'),
+            (['lasso', '--n', '4', '--d', '6', '--nnz', '2', '--beta', '-1'],
+             'beta'),
             (['deblur', '--size', '8', '--snr', 'nan'], 'snr_db'),
             (['deblur', '--size', '8', '--snr', '-7000'], 'snr_db'),
             (['deblur', '--size', '8', '--alpha-tv', 'nan'], 'alpha_tv'),
@@ -313,6 +321,17 @@ def test_bad_instance_settings_are_usage_errors(tmp_path):
         assert proc.stderr.startswith('error: ') and name in proc.stderr, \
             proc.stderr
         assert 'Traceback' not in proc.stderr, args
+    assert not os.path.exists(out)
+
+
+def test_bench_lasso_oracle_on_overflowing_data_is_an_error(tmp_path):
+    # the oracle used to run its whole budget on NaN and exit 2
+    out = str(tmp_path / 'out')
+    proc = run_cli(['bench', 'lasso', '--n', '4', '--d', '6', '--nnz', '2',
+                    '--noise-std', '1e308', '--out', out], timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert 'error: ista_oracle' in proc.stderr
+    assert 'Traceback' not in proc.stderr
     assert not os.path.exists(out)
 
 

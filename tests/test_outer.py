@@ -83,25 +83,25 @@ def test_error_measure_formula():
     z = rng.standard_normal(p.n)
     y = rng.standard_normal(p.n)
     r = [0.2, 0.05]
-    off1 = int(p.offsets[1])
+    off1 = p.slices[0].stop
     expect = 0.3 * np.linalg.norm(z[off1:] - y[off1:]) \
         + 1.7 * np.linalg.norm(p.apply_A(z) - p.b) \
         + 0.01 * np.sqrt(0.25)
     pv = p.apply_A(z) - p.b
-    got = outer.error_measure(theta, z, y, r, p, pv)
+    got = outer.error_measure(theta, z, y, r, p, np.linalg.norm(pv))
     assert got == pytest.approx(expect, rel=1e-14)
     # the consensus term ignores block 1
     z2 = z.copy()
     z2[:off1] += 5.0
     pv2 = p.apply_A(z2) - p.b
-    e2 = outer.error_measure(theta, z2, y, r, p, pv2)
+    e2 = outer.error_measure(theta, z2, y, r, p, np.linalg.norm(pv2))
     expect2 = 0.3 * np.linalg.norm(z2[off1:] - y[off1:]) \
         + 1.7 * np.linalg.norm(pv2) + 0.01 * np.sqrt(0.25)
     assert e2 == pytest.approx(expect2, rel=1e-14)
     with pytest.raises(NegativeR):
-        outer.error_measure(theta, z, y, [0.1, -1e-12], p, pv)
+        outer.error_measure(theta, z, y, [0.1, -1e-12], p, np.linalg.norm(pv))
     with pytest.raises(DimensionMismatch):
-        outer.error_measure(theta, z, y, [0.1], p, pv)
+        outer.error_measure(theta, z, y, [0.1], p, np.linalg.norm(pv))
 
 
 def test_error_measure_checks_each_inexactness_term():
@@ -113,15 +113,16 @@ def test_error_measure_checks_each_inexactness_term():
     # a NaN beside a negative term does not hide it, in either order
     for r in ([np.nan, -1e-12], [-1e-12, np.nan]):
         with pytest.raises(NegativeR):
-            outer.error_measure(theta, z, y, r, p, pv)
-    # a negative zero is not negative; the norms are np.linalg.norm's
-    off1 = int(p.offsets[1])
+            outer.error_measure(theta, z, y, r, p, np.linalg.norm(pv))
+    # a negative zero is not negative; the consensus norm is np.linalg.norm's
+    off1 = p.slices[0].stop
     expect = 0.3 * np.linalg.norm(z[off1:] - y[off1:]) \
         + 1.7 * np.linalg.norm(pv) + 0.01 * np.sqrt(0.0)
-    assert outer.error_measure(theta, z, y, [0.0, -0.0], p, pv) == expect
+    assert outer.error_measure(theta, z, y, [0.0, -0.0], p,
+                               np.linalg.norm(pv)) == expect
     for r in ([], [0.1, 0.2, 0.3]):
         with pytest.raises(DimensionMismatch):
-            outer.error_measure(theta, z, y, r, p, pv)
+            outer.error_measure(theta, z, y, r, p, np.linalg.norm(pv))
 
 
 def test_outer_step_matches_hand_sweep():
@@ -150,8 +151,8 @@ def test_outer_step_matches_hand_sweep():
     primal = p.apply_A(z) - p.b
     e = outer.error_measure(
         outer.default_thetas(params.rho, params.ls.sigma, outer.ALPHA), z, y0,
-        [r.r for r in results], p, primal)
-    off1 = int(p.offsets[1])
+        [r.r for r in results], p, np.linalg.norm(primal))
+    off1 = p.slices[0].stop
     y_expect = np.concatenate(
         [z[:off1], linops.back_substitute(bs, y0[off1:], z[off1:],
                                           outer.ALPHA)])
@@ -748,7 +749,7 @@ def test_energy_formula_and_modes():
     rng = np.random.default_rng(41)
     p = lasso_like(42, m=3)
     bs = linops.assemble_back_sub([blk.A for blk in p.blocks[1:]])
-    off1 = int(p.offsets[1])
+    off1 = p.slices[0].stop
     x_star = rng.standard_normal(p.n)
     lam_star = rng.standard_normal(p.rows)
     state = types.SimpleNamespace(

@@ -41,7 +41,7 @@ def test_layout_and_split():
     assert p.m == 3
     assert p.n == 9
     assert p.rows == 8
-    assert list(p.offsets) == [0, 3, 7, 9]
+    assert [s.start for s in p.slices] + [p.n] == [0, 3, 7, 9]
     x = rng.standard_normal(9)
     parts = p.split(x)
     assert [len(q) for q in parts] == [3, 4, 2]

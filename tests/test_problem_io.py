@@ -96,6 +96,18 @@ def test_smooth_roundtrip_keeps_a_given_lipschitz():
         assert np.array_equal(back.data, f.data)
 
 
+def test_rejects_a_lipschitz_that_is_not_finite_and_nonnegative(tmp_path):
+    doc = problem_io.problem_to_dict(
+        bench.make_lasso(bench.LassoConfig(n=20, d=30, seed=0)))
+    for bad in (float('nan'), -1.0, float('inf')):
+        doc['blocks'][0]['f']['lipschitz'] = bad
+        path = str(tmp_path / 'bad.json')
+        with open(path, 'w') as fh:
+            json.dump(doc, fh)
+        with pytest.raises(ValueError, match='lipschitz'):
+            problem_io.load_problem(path)
+
+
 def test_rejects_unknown_schema_and_kinds():
     with pytest.raises(ValueError):
         problem_io.problem_from_dict({'schema': 'bosvs-problem/99',

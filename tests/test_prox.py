@@ -225,6 +225,17 @@ def test_quadratic_ls_explicit_lipschitz_is_kept():
     assert f.lipschitz == 9.5
 
 
+def test_quadratic_ls_rejects_a_lipschitz_that_is_not_finite_and_nonnegative():
+    # a NaN or negative one used to start the constant schedule from
+    # delta_min, and an infinite one to stagnate the run before iteration 1
+    for bad in (np.nan, -1.0, np.inf):
+        with pytest.raises(BadDims, match='lipschitz'):
+            QuadraticLS(DenseOp(np.eye(3)), np.zeros(3), lipschitz=bad)
+    for good in (0.0, 2.5):
+        f = QuadraticLS(DenseOp(np.eye(3)), np.zeros(3), lipschitz=good)
+        assert f.lipschitz == good
+
+
 def test_quadratic_ls_in_basis_is_the_same_function():
     rng = np.random.default_rng(41)
     g = DiffOperator(8, 8).self_gram()
