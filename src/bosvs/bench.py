@@ -55,14 +55,18 @@ class DeblurConfig:
                           f"alpha_tv={alpha_tv}, beta_wav={beta_wav}")
         if seed < 0:    # numpy's generators reject it without naming it
             raise BadDims(f"seed must be >= 0, got {seed}")
+        haar_levels = int(haar_levels) if haar_levels is not None \
+            else (2 if size <= 64 else 4)
+        if not 1 <= haar_levels < size.bit_length():   # 2**levels <= size
+            raise BadDims(f"need 1 <= haar_levels and 2**haar_levels <= size "
+                          f"{size}, got haar_levels={haar_levels}")
         self.size = size
         self.blur_size = int(blur_size)
         self.snr_db = float(snr_db)
         self.alpha_tv = float(alpha_tv)
         self.beta_wav = float(beta_wav)
         self.seed = int(seed)
-        self.haar_levels = int(haar_levels) if haar_levels is not None \
-            else (2 if size <= 64 else 4)
+        self.haar_levels = haar_levels
 
     def as_dict(self):
         return dict(vars(self))
@@ -142,14 +146,19 @@ def make_deblur(cfg):
 
 
 def make_lasso(cfg):
-    """Two-block lasso consensus: u - z = 0, data fit on u, l1 on z."""
+    """Two-block lasso consensus: u - z = 0, data fit on u, l1 on z.
+
+    Raises BadDims, naming noise_std, when the data overflow to inf."""
     rng = np.random.default_rng(cfg.seed)
     F = rng.standard_normal((cfg.d, cfg.n)) / np.sqrt(cfg.d)
     u_true = np.zeros(cfg.n)
     support = rng.choice(cfg.n, size=cfg.nnz, replace=False)
     u_true[support] = rng.choice([-1.0, 1.0], size=cfg.nnz) \
         * rng.uniform(0.5, 2.0, size=cfg.nnz)
-    data = F @ u_true + cfg.noise_std * rng.standard_normal(cfg.d)
+    with np.errstate(over='ignore'):
+        data = F @ u_true + cfg.noise_std * rng.standard_normal(cfg.d)
+    if not np.isfinite(data).all():
+        raise BadDims(f"noise_std={cfg.noise_std} overflows the data")
     # taken from the C-order draw, so the instance keeps its bits; one
     # column-major copy then serves DenseOp and meta['design'] alike
     F = np.asfortranarray(F)
@@ -170,20 +179,22 @@ def ista_oracle(F, data, beta, tol=1e-10):
     drops below tol. Raises SolverError at the first iterate whose
     residual is not finite, MaxItersReached after ISTA_MAXIT iterations.
     """
-    f = QuadraticLS(DenseOp(np.asarray(F, dtype=float)), data)
-    L = f.lipschitz
-    if L <= 0.0:
-        return np.zeros(f.F.cols)
-    t = 1.0 / L
-    u = np.zeros(f.F.cols)
-    for k in range(ISTA_MAXIT):
-        g = f.gradient(u)
-        res = np.linalg.norm(u - soft_threshold(u - g, beta))
-        if res <= tol:
-            return u
-        if not math.isfinite(res):    # NaN or inf from here on
-            raise SolverError(f"ista_oracle: residual {res} at iteration {k}")
-        u = soft_threshold(u - t * g, t * beta)
+    with np.errstate(over='ignore', invalid='ignore'):  # the check raises
+        f = QuadraticLS(DenseOp(np.asarray(F, dtype=float)), data)
+        L = f.lipschitz
+        if L <= 0.0:
+            return np.zeros(f.F.cols)
+        t = 1.0 / L
+        u = np.zeros(f.F.cols)
+        for k in range(ISTA_MAXIT):
+            g = f.gradient(u)
+            res = np.linalg.norm(u - soft_threshold(u - g, beta))
+            if res <= tol:
+                return u
+            if not math.isfinite(res):    # NaN or inf from here on
+                raise SolverError(
+                    f"ista_oracle: residual {res} at iteration {k}")
+            u = soft_threshold(u - t * g, t * beta)
     raise MaxItersReached(
         message=f"ista_oracle: no convergence in {ISTA_MAXIT}")
 

@@ -371,7 +371,10 @@ class RunningAverage:
 
 def _run_inner(ctx, bst, psi_val, iterates, record, inner_cap, cap_error):
     """Run an inner loop to its stopping rule; ``iterates`` yields (u, z,
-    ||u - u_prev||^2, gamma, delta, displacement, record extras)."""
+    ||u - u_prev||^2, gamma, delta, displacement, record extras). Raises
+    ValueError if inner_cap < 1."""
+    if inner_cap < 1:
+        raise ValueError(f"inner_cap must be >= 1, got {inner_cap}")
     sumsq = 0.0
     for l, (u, z, dd, gamma, delta, disp, extra) in zip(
             range(1, inner_cap + 1), iterates):
@@ -505,7 +508,9 @@ def exact_block_solve(ctx, bst, cg_tol=CG_TOL):
     direct ``system`` solve (which gives a ``normal`` f the optimality
     condition's grad f(u) = rho A^T (c - A u), so ``release`` takes f(u)
     with no product with H_f), else by CG on ``hess_apply`` warm started at
-    the current iterate until the residual norm is below cg_tol. Gram = c*I
+    the current iterate until the residual norm is below cg_tol (a
+    right-hand side that is not finite is returned as u, with no CG, so
+    the run ends diverged as the direct solve's would). Gram = c*I
     with f = 0: one prox. Result: r = 0, Gamma = +inf, l = 1 (CG: its count).
     """
     h, f, rho = ctx.block.h, ctx.block.f, ctx.rho
@@ -523,12 +528,16 @@ def exact_block_solve(ctx, bst, cg_tol=CG_TOL):
                 ctx.i + 1, f"block {ctx.i + 1}: CG path needs a quadratic "
                            "smooth part")
         iters = []
-        op = LinearOperator(
-            G.shape, matvec=lambda v: f.hess_apply(v) + rho * G.apply(v))
-        u, info = cg(op, rhs, x0=bst.x.copy(), rtol=0.0, atol=cg_tol,
-                     maxiter=CG_MAXIT, callback=iters.append)
-        if info > 0:
-            raise CGNotConverged(CG_MAXIT)
+        if not np.isfinite(rhs).all():
+            # CG would spin to its cap; a non-finite u ends the run diverged
+            u = rhs
+        else:
+            op = LinearOperator(
+                G.shape, matvec=lambda v: f.hess_apply(v) + rho * G.apply(v))
+            u, info = cg(op, rhs, x0=bst.x.copy(), rtol=0.0, atol=cg_tol,
+                         maxiter=CG_MAXIT, callback=iters.append)
+            if info > 0:
+                raise CGNotConverged(CG_MAXIT)
         return InnerResult(u, u, 0.0, np.inf, max(len(iters), 1), np.nan)
     c = ctx.workspace.identity_multiple()
     if c is not None and c > 0.0 and f.is_zero:

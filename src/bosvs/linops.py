@@ -396,6 +396,8 @@ class BlurOperator(LinOp):
         kernel = np.asarray(kernel, dtype=float)
         if kernel.ndim != 2 or kernel.shape[0] % 2 == 0 or kernel.shape[1] % 2 == 0:
             raise BadDims("kernel must be 2-D with odd side lengths")
+        if not np.isfinite(kernel).all():
+            raise BadDims("blur kernel must be finite")
         if not kernel.any():
             raise BadDims("blur kernel is all zero")
         self.imrows, self.imcols = imrows, imcols

@@ -53,8 +53,10 @@ def test_bad_instance_settings_are_rejected_up_front():
     for snr in (math.nan, -math.inf, -7000.0, -6165.1):
         with pytest.raises(BadDims, match='snr_db'):
             bench.DeblurConfig(size=8, snr_db=snr)
+    # for haar_levels, HaarTransform's own messages name no setting
     for kw in (dict(alpha_tv=math.nan), dict(alpha_tv=-1e-3),
-               dict(beta_wav=math.inf), dict(beta_wav=math.nan)):
+               dict(beta_wav=math.inf), dict(beta_wav=math.nan),
+               dict(haar_levels=0), dict(haar_levels=4)):
         name, = kw
         with pytest.raises(BadDims, match=name):
             bench.DeblurConfig(size=8, **kw)

@@ -1,4 +1,4 @@
-"""The pair tool's verdict on synthetic paired runs."""
+"""The pair tool's verdict and benchmark record on synthetic paired runs."""
 
 import os
 import sys
@@ -8,7 +8,7 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), 'tools'))
 
-from bench_pairs import quartiles, verdict  # noqa: E402
+from bench_pairs import bench_record, quartiles, verdict  # noqa: E402
 
 PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
 
@@ -75,3 +75,48 @@ def test_unpaired_runs_are_rejected():
         verdict([1.0, 2.0], [1.0], 'lower', 0.25)
     with pytest.raises(ValueError):
         verdict([], [], 'lower', 0.25)
+
+
+def perfbench_run(seed, trace, setup_s, iter_ms, failed):
+    """A synthetic (printed result, record) pair of one perfbench run."""
+    metrics = {'setup_s': (setup_s, 's'), 'iter_ms.exact': (iter_ms, 'ms')}
+    result = {'correct': failed == 0, 'attempted': 4, 'failed': failed,
+              'metrics': {k: {'value': v, 'unit': u}
+                          for k, (v, u) in metrics.items()}}
+    record = {'workload': 'lasso', 'seed': seed, 'seconds': 25,
+              'trace': trace, 'config': {'n': 3}, 'import_s': 0.1,
+              'round_walls_s': [1.0], 'context': {'nproc': 2},
+              'metrics': {k: list(m) for k, m in metrics.items()},
+              'checks': {}, 'solves': [{'converged': True}] * 4}
+    return result, record
+
+
+def test_bench_record_from_printed_results_and_records():
+    runs = [perfbench_run(12, 0, 4.0, 0.3, 0),
+            perfbench_run(10, 0, 1.0, 0.2, 1),
+            perfbench_run(11, 0, 2.0, 0.1, 0)]
+    traced = perfbench_run(20, 1, 9.0, 0.9, 2)
+    doc = bench_record('lasso', runs, traced)
+    assert list(doc) == ['workload', 'end_to_end', 'runs', 'traced']
+    assert doc['workload'] == 'lasso'
+    # inclusive quartiles of the runs in seed order 10, 11, 12
+    assert doc['end_to_end']['setup_s'] == {
+        'unit': 's', 'median': 2.0, 'q1': 1.5, 'q3': 3.0,
+        'runs': [1.0, 2.0, 4.0]}
+    iter_ms = doc['end_to_end']['iter_ms.exact']
+    assert iter_ms['runs'] == [0.2, 0.1, 0.3] and iter_ms['unit'] == 'ms'
+    assert (iter_ms['q1'], iter_ms['median'], iter_ms['q3']) == \
+        quartiles([0.2, 0.1, 0.3])
+    assert [r['seed'] for r in doc['runs']] == [10, 11, 12]
+    for r in doc['runs']:
+        assert list(r) == ['seed', 'seconds', 'correct', 'attempted',
+                           'failed', 'context']
+    # the counts are the printed ones, not recounted from the solves
+    assert [(r['correct'], r['failed']) for r in doc['runs']] == \
+        [(False, 1), (True, 0), (True, 0)]
+    entry, = doc['traced']
+    assert 'solves' not in entry
+    assert list(entry)[-3:] == ['correct', 'attempted', 'failed']
+    assert (entry['correct'], entry['attempted'], entry['failed']) == \
+        (False, 4, 2)
+    assert entry['seed'] == 20 and entry['metrics'] == traced[1]['metrics']

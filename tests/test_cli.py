@@ -315,7 +315,9 @@ def test_bad_instance_settings_are_usage_errors(tmp_path):
             (['deblur', '--size', '8', '--beta-wav', 'inf'], 'beta_wav'),
             (['lasso', '--n', '4', '--d', '6', '--nnz', '2', '--seed', '-1'],
              'seed'),
-            (['deblur', '--size', '8', '--seed', '-1'], 'seed')):
+            (['deblur', '--size', '8', '--seed', '-1'], 'seed'),
+            (['deblur', '--size', '8', '--haar-levels', '0'], 'haar_levels'),
+            (['deblur', '--size', '8', '--haar-levels', '4'], 'haar_levels')):
         proc = run_cli(['bench', *args, '--out', out], timeout=60)
         assert proc.returncode == 1, args
         assert proc.stderr.startswith('error: ') and name in proc.stderr, \
@@ -325,14 +327,20 @@ def test_bad_instance_settings_are_usage_errors(tmp_path):
 
 
 def test_bench_lasso_oracle_on_overflowing_data_is_an_error(tmp_path):
-    # the oracle used to run its whole budget on NaN and exit 2
+    # the oracle used to run its whole budget on NaN and exit 2, and then
+    # printed numpy's overflow warnings before its error
     out = str(tmp_path / 'out')
-    proc = run_cli(['bench', 'lasso', '--n', '4', '--d', '6', '--nnz', '2',
-                    '--noise-std', '1e308', '--out', out], timeout=60)
-    assert proc.returncode == 1, proc.stderr
-    assert 'error: ista_oracle' in proc.stderr
-    assert 'Traceback' not in proc.stderr
-    assert not os.path.exists(out)
+    for shape, message in (
+            (['--n', '4', '--d', '6', '--nnz', '2'], 'error: ista_oracle'),
+            ([], 'noise_std')):
+        proc = run_cli(['bench', 'lasso', *shape, '--noise-std', '1e308',
+                        '--out', out], timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith('error: ') and message in proc.stderr, \
+            proc.stderr
+        assert 'RuntimeWarning' not in proc.stderr
+        assert 'Traceback' not in proc.stderr
+        assert not os.path.exists(out)
 
 
 def test_bench_deblur_default_tol_is_reachable(tmp_path):

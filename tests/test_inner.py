@@ -429,6 +429,21 @@ def test_multistep_inner_cap():
     assert res.inner_iters == 7
 
 
+def test_inner_cap_below_one_is_rejected():
+    # a cap below 1 ended in UnboundLocalError on gamma, or in "inner loop
+    # hit cap 0" before any step
+    rng = np.random.default_rng(165)
+    f = quad_smooth(8, 6, seed=166)
+    A = linops.DenseOp(rng.standard_normal((8, 6)))
+    ctx, bst = one_block(A, f, prox.ZeroProx(), seed=167)
+    for loop in (inner.multistep_loop, inner.accelerated_loop):
+        for cap in (0, -3):
+            for cap_error in (True, False):
+                with pytest.raises(ValueError, match='inner_cap'):
+                    loop(ctx, bst, np.inf, inner_cap=cap,
+                         cap_error=cap_error)
+
+
 def accel_record(ls, n_inner, seed, schedule='adaptive', lipschitz=None):
     f = quad_smooth(10, 7, seed=seed, lipschitz=lipschitz)
     rng = np.random.default_rng(seed + 1)

@@ -100,8 +100,9 @@ def test_unrepresentable_operators_are_rejected():
     for rows, cols in ((12, -1), (0, 3), (3, 0)):
         with pytest.raises(DimensionMismatch):
             ZeroOp(rows, cols)
-    with pytest.raises(BadDims, match='kernel'):
-        BlurOperator(4, 4, np.zeros((3, 3)))
+    for kernel in (np.zeros((3, 3)), [[np.nan]], [[np.inf]]):
+        with pytest.raises(BadDims, match='kernel'):
+            BlurOperator(4, 4, kernel)
     for rows, cols in ((0, 4), (4, 0), (-1, 4)):
         with pytest.raises(BadDims, match='image'):
             BlurOperator(rows, cols, [[1.0]])

@@ -469,6 +469,21 @@ def test_non_finite_e_k_ends_an_exact_run_as_diverged():
         assert np.array_equal(got, want)
 
 
+def test_exact_cg_fallback_is_skipped_on_non_finite_data(monkeypatch):
+    # a 5x5 blur takes the CG fallback, which ran to CG_MAXIT on NaN
+    # and ended the run stagnated
+    def no_cg(*args, **kwargs):
+        raise AssertionError('CG ran on a non-finite right-hand side')
+
+    monkeypatch.setattr(inner, 'cg', no_cg)
+    p = bench.make_deblur(bench.DeblurConfig(size=8, blur_size=5))
+    p.blocks[0].f.data[3] = np.nan
+    res = outer.solve(p, outer.OuterParams(rho=5e-4, scheme='exact',
+                                           max_outer_iters=50),
+                      raise_on_maxiter=False)
+    assert res.reason == 'diverged' and res.iterations == 0
+
+
 def test_outer_step_commits_only_a_finite_iteration():
     p = bench.make_lasso(bench.LassoConfig(n=20, d=30, seed=0))
     params = outer.OuterParams(rho=1.0, scheme='exact')

@@ -108,6 +108,18 @@ def test_rejects_a_lipschitz_that_is_not_finite_and_nonnegative(tmp_path):
             problem_io.load_problem(path)
 
 
+def test_rejects_a_blur_kernel_that_is_not_finite(tmp_path):
+    # the exact scheme's CG spun to its cap on such a file
+    doc = problem_io.problem_to_dict(
+        bench.make_deblur(bench.DeblurConfig(size=8)))
+    doc['blocks'][0]['f']['F']['kernel'][1][1] = float('nan')
+    path = str(tmp_path / 'bad.json')
+    with open(path, 'w') as fh:
+        json.dump(doc, fh)
+    with pytest.raises(ValueError, match='kernel'):
+        problem_io.load_problem(path)
+
+
 def test_rejects_unknown_schema_and_kinds():
     with pytest.raises(ValueError):
         problem_io.problem_from_dict({'schema': 'bosvs-problem/99',

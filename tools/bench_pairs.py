@@ -1,5 +1,6 @@
 """Compare a parent revision with this checkout by alternating perfbench
-pairs, and give each end-to-end metric its verdict.
+pairs, give each end-to-end metric its verdict, and write the change's
+committed record BENCH_<workload>.json.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --workload lasso \
         --seed 100 [--json runs.json]
@@ -11,7 +12,8 @@ benchmark code is the same on both sides and the checkout's own files are
 only read. Pair j of ten runs ``perfbench/run.py --workload W --seed S+j
 --seconds T --trace 0`` on each side, where T is ``BENCHMARK.json``'s
 ``run_seconds``; the parent runs first in the even pairs and the change
-in the odd ones.
+in the odd ones. The change side then runs once more with ``--trace 1``
+at seed S+10.
 
 For every end-to-end metric of ``BENCHMARK.json`` it prints each side's
 median and quartiles (inclusive method), the relative change of the
@@ -27,8 +29,10 @@ median, the pairs the change won (ties count for neither) and a verdict:
   the bound, unless every change run is better than every parent run;
 * ``held``: otherwise.
 
-Each side's correct runs and attempted and failed solves follow. ``--json``
-writes every run's printed result and its full perfbench record.
+Each side's correct runs and attempted and failed solves follow. The
+change side's ten runs and its traced run are written to
+``BENCH_<workload>.json`` at the repository root (see ``bench_record``).
+``--json`` writes every pair's printed result and full perfbench record.
 """
 
 import argparse
@@ -43,6 +47,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ('parent', 'change')
 PAIRS = 10      # the fewest pairs a verdict may rest on
+COUNTS = ('correct', 'attempted', 'failed')   # of a run's printed result
 COPY_IGNORE = shutil.ignore_patterns('__pycache__', 'out', '*.pyc')
 
 
@@ -98,19 +103,43 @@ def export(parent, dest):
     return dirs
 
 
-def run_side(directory, workload, seed, seconds):
+def run_side(directory, workload, seed, seconds, trace=0):
     """One perfbench run; returns (printed result, full record)."""
     proc = subprocess.run(
         [sys.executable, 'perfbench/run.py', '--workload', workload,
-         '--seed', str(seed), '--seconds', str(seconds), '--trace', '0'],
+         '--seed', str(seed), '--seconds', str(seconds),
+         '--trace', str(trace)],
         cwd=directory, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f'perfbench failed in {directory}:\n{proc.stderr}')
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     path = os.path.join(directory, 'perfbench', 'out',
-                        f'{workload}-seed{seed}-trace0.json')
+                        f'{workload}-seed{seed}-trace{trace}.json')
     with open(path) as fh:
         return result, json.load(fh)
+
+
+def bench_record(workload, runs, traced):
+    """The committed record from (printed result, full record) pairs:
+    ``runs`` of ``--trace 0`` give each end-to-end metric's median,
+    quartiles and per-run values in seed order, and each run's seed,
+    counts and machine context; the ``--trace 1`` pair ``traced`` is kept
+    whole but for its per-solve list, with its counts."""
+    def summary(result, rec):
+        return ({k: v for k, v in rec.items() if k != 'solves'}
+                | {k: result[k] for k in COUNTS})
+
+    runs = sorted((summary(*r) for r in runs), key=lambda r: r['seed'])
+    end_to_end = {}
+    for name, (_, unit) in runs[0]['metrics'].items():
+        values = [r['metrics'][name][0] for r in runs]
+        q1, median, q3 = quartiles(values)
+        end_to_end[name] = {'unit': unit, 'median': median, 'q1': q1,
+                            'q3': q3, 'runs': values}
+    return {'workload': workload, 'end_to_end': end_to_end,
+            'runs': [{k: r[k] for k in ('seed', 'seconds', *COUNTS,
+                                        'context')} for r in runs],
+            'traced': [summary(*traced)]}
 
 
 def report(runs, metrics):
@@ -146,7 +175,7 @@ def main(argv=None):
     ap.add_argument('--workload', required=True)
     ap.add_argument('--seed', type=int, default=1,
                     help='seed of the first pair; pair j uses seed + j')
-    ap.add_argument('--json', help='write every run to this file')
+    ap.add_argument('--json', help='write every pair run to this file')
     args = ap.parse_args(argv)
     if args.seed < 0:
         ap.error('need --seed >= 0')
@@ -169,9 +198,19 @@ def main(argv=None):
                 print(f'# pair {j + 1}/{PAIRS} seed {seed} {side} done',
                       file=sys.stderr, flush=True)
             runs.append(pair)
+        traced = run_side(dirs['change'], args.workload, args.seed + PAIRS,
+                          seconds, trace=1)
     print(f'# {args.workload}: {PAIRS} pairs of --seconds {seconds:g} '
           f'from seed {args.seed}, parent {args.parent}')
     print(report(runs, metrics))
+    doc = bench_record(args.workload, [(r['result'], r['record'])
+                                       for r in records
+                                       if r['side'] == 'change'], traced)
+    path = os.path.join(ROOT, f'BENCH_{args.workload}.json')
+    with open(path, 'w') as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write('\n')
+    print(f'# wrote {path}', file=sys.stderr)
     if args.json:
         with open(args.json, 'w') as fh:
             json.dump(records, fh)
