@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .errors import BadDims, MaxItersReached, SolverError
+from .errors import BadDims, MaxItersReached, SolverError, as_int
 from .linops import (BlurOperator, DenseOp, DiffOperator, HaarTransform,
                      IdentityOp, NegIdentityOp, VStackOp, ZeroOp)
 from .outer import OuterParams, solve, write_summary, write_trace_csv
@@ -43,7 +43,9 @@ class DeblurConfig:
 
     def __init__(self, size=32, blur_size=3, snr_db=40.0, alpha_tv=0.005,
                  beta_wav=0.001, seed=0, haar_levels=None):
-        size = int(size)
+        size, blur_size, seed = (as_int('size', size),
+                                 as_int('blur_size', blur_size),
+                                 as_int('seed', seed))
         if size < 8 or size & (size - 1):
             raise BadDims(f"size must be a power of two >= 8, got {size}")
         if blur_size % 2 == 0 or blur_size < 1:
@@ -55,17 +57,17 @@ class DeblurConfig:
                           f"alpha_tv={alpha_tv}, beta_wav={beta_wav}")
         if seed < 0:    # numpy's generators reject it without naming it
             raise BadDims(f"seed must be >= 0, got {seed}")
-        haar_levels = int(haar_levels) if haar_levels is not None \
-            else (2 if size <= 64 else 4)
+        haar_levels = as_int('haar_levels', haar_levels) \
+            if haar_levels is not None else (2 if size <= 64 else 4)
         if not 1 <= haar_levels < size.bit_length():   # 2**levels <= size
             raise BadDims(f"need 1 <= haar_levels and 2**haar_levels <= size "
                           f"{size}, got haar_levels={haar_levels}")
         self.size = size
-        self.blur_size = int(blur_size)
+        self.blur_size = blur_size
         self.snr_db = float(snr_db)
         self.alpha_tv = float(alpha_tv)
         self.beta_wav = float(beta_wav)
-        self.seed = int(seed)
+        self.seed = seed
         self.haar_levels = haar_levels
 
     def as_dict(self):
@@ -78,6 +80,8 @@ class LassoConfig:
 
     def __init__(self, n=100, d=150, nnz=10, noise_std=0.01, beta=0.1,
                  seed=0):
+        n, d, nnz, seed = (as_int('n', n), as_int('d', d),
+                           as_int('nnz', nnz), as_int('seed', seed))
         if n < 1 or d < 1 or nnz < 0 or nnz > n:
             raise BadDims("need n, d >= 1 and 0 <= nnz <= n")
         if not (0.0 <= noise_std < math.inf and 0.0 <= beta < math.inf):
@@ -85,12 +89,12 @@ class LassoConfig:
                           f"noise_std={noise_std}, beta={beta}")
         if seed < 0:    # numpy's generators reject it without naming it
             raise BadDims(f"seed must be >= 0, got {seed}")
-        self.n = int(n)
-        self.d = int(d)
-        self.nnz = int(nnz)
+        self.n = n
+        self.d = d
+        self.nnz = nnz
         self.noise_std = float(noise_std)
         self.beta = float(beta)
-        self.seed = int(seed)
+        self.seed = seed
 
     def as_dict(self):
         return dict(vars(self))
@@ -217,7 +221,7 @@ def refsolve(p, rho, cap=REFERENCE_CAP):
     ``cap`` in all. Returns the SolveResult; its final objective is phi_star.
     """
     params = OuterParams(rho=rho, scheme='accelerated', stop_tol=0.0,
-                         max_outer_iters=cap)
+                         max_outer_iters=as_int('cap', cap))
     return solve(p, params, callbacks=[_stable_digits_callback()],
                  raise_on_maxiter=False)
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``as_int``, the check
+of an integer setting."""
+
+import operator
 
 
 class SolverError(Exception):
@@ -11,6 +14,15 @@ class DimensionMismatch(SolverError, ValueError):
 
 class BadDims(SolverError, ValueError):
     """Instance dimensions outside the supported range."""
+
+
+def as_int(name, value):
+    """value as an int if it is a Python or numpy integer, else BadDims
+    naming the setting: a float is refused, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise BadDims(f"{name} must be an integer, got {value!r}") from None
 
 
 class RankDeficient(SolverError):

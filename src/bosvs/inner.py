@@ -33,7 +33,6 @@ UnsupportedSubproblem.
 import math
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from . import linops
 from .errors import (CGNotConverged, InnerIterationCap, LineSearchDiverged,
@@ -501,6 +500,12 @@ def accelerated_loop(ctx, bst, psi_val, schedule=ACCEL_SCHEDULES[0],
                       inner_cap, cap_error)
 
 
+def cg(shape, matvec, *args, **kwargs):     # scipy's, loaded on first call
+    from scipy.sparse import linalg
+    op = linalg.LinearOperator(shape, matvec=matvec)
+    return linalg.cg(op, *args, **kwargs)
+
+
 def exact_block_solve(ctx, bst, cg_tol=CG_TOL):
     """Minimize the exact block objective L_i.
 
@@ -532,9 +537,8 @@ def exact_block_solve(ctx, bst, cg_tol=CG_TOL):
             # CG would spin to its cap; a non-finite u ends the run diverged
             u = rhs
         else:
-            op = LinearOperator(
-                G.shape, matvec=lambda v: f.hess_apply(v) + rho * G.apply(v))
-            u, info = cg(op, rhs, x0=bst.x.copy(), rtol=0.0, atol=cg_tol,
+            u, info = cg(G.shape, lambda v: f.hess_apply(v) + rho * G.apply(v),
+                         rhs, x0=bst.x.copy(), rtol=0.0, atol=cg_tol,
                          maxiter=CG_MAXIT, callback=iters.append)
             if info > 0:
                 raise CGNotConverged(CG_MAXIT)

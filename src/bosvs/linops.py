@@ -29,8 +29,6 @@ import functools
 import numpy as np
 from scipy import sparse
 from scipy.fft import dctn, idctn
-from scipy.linalg import eigh, lapack
-from scipy.linalg.blas import dsymv
 
 from .errors import BadDims, DimensionMismatch, RankDeficient
 
@@ -106,6 +104,12 @@ class LinOp:
                    if isinstance(v, np.ndarray))
 
 
+def _dsymv(*args):    # BLAS symv: the first call imports it over this name
+    global _dsymv
+    from scipy.linalg.blas import dsymv as _dsymv
+    return _dsymv(*args)
+
+
 class DenseOp(LinOp):
     """Wrap an explicit matrix. Storage is column-major contiguous.
 
@@ -125,11 +129,12 @@ class DenseOp(LinOp):
 
     @functools.cached_property
     def _eigh(self):
+        from scipy.linalg import eigh
         return eigh(self._a)
 
     def apply(self, v):
         if self._symmetric:
-            return dsymv(1.0, self._a, self._check_apply(v))
+            return _dsymv(1.0, self._a, self._check_apply(v))
         return self._a @ self._check_apply(v)
 
     def apply_adjoint(self, w):
@@ -556,12 +561,13 @@ def direct_solver(h, g, rho):
     if _rank_deficient(g if isinstance(k, DenseOp) else k):
         return None
     if isinstance(k, DenseOp):
+        from scipy.linalg import blas, lapack
         c, info = lapack.dpotrf(k._a)
         if info == 0:
             c, info = lapack.dpotri(c, overwrite_c=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"not positive definite (info {info})")
-        return functools.partial(dsymv, 1.0, c)
+        return functools.partial(blas.dsymv, 1.0, c)
     return functools.partial(k.solve_shifted, 0.0, 1.0)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (CGNotConverged, DimensionMismatch, InnerIterationCap,
                      LineSearchDiverged, MaxItersReached, MissingReference,
-                     NegativeR)
+                     NegativeR, as_int)
 from .inner import (ACCEL_SCHEDULES, CG_TOL, BlockState, BlockWorkspace,
                     InnerContext, LineSearchParams, RelaxationParams,
                     accelerated_loop, exact_block_solve, generalized_step,
@@ -107,15 +107,16 @@ class OuterParams:
             raise ValueError("stop_tol must be nonnegative or None")
         if not 0.0 < cg_tol < np.inf:
             raise ValueError("cg_tol must be finite and positive")
+        max_outer_iters = as_int('max_outer_iters', max_outer_iters)
+        if max_outer_iters < 1:
+            raise ValueError("max_outer_iters must be at least 1")
         self.rho = float(rho)
         self.scheme = scheme
         self.accel_schedule = accel_schedule
         self.ls = ls if ls is not None else LineSearchParams()
         self.relax = relax if relax is not None else RelaxationParams()
         self.stop_tol = stop_tol
-        self.max_outer_iters = int(max_outer_iters)
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be at least 1")
+        self.max_outer_iters = max_outer_iters
         self.cg_tol = float(cg_tol)
         self.reference = reference
 

@@ -66,7 +66,28 @@ def test_bad_instance_settings_are_rejected_up_front():
             bench.LassoConfig(n=4, d=6, nnz=2, seed=seed)
         with pytest.raises(BadDims, match='seed'):
             bench.DeblurConfig(size=8, seed=seed)
-    assert bench.LassoConfig(n=4, d=6, nnz=2, seed=0).seed == 0
+    # an integer setting given a float, NaN or string is named, not
+    # truncated: blur_size=2.5 used to pass the odd-size check and be
+    # stored as 2, and refsolve's cap=2.5 ran 2 iterations
+    for kw in (dict(size=32.5), dict(size=np.nan), dict(blur_size=2.5),
+               dict(blur_size=3.0), dict(seed=0.5), dict(haar_levels=1.5),
+               dict(seed='1')):
+        name, = kw
+        with pytest.raises(BadDims, match=name):
+            bench.DeblurConfig(**kw)
+    for kw in (dict(n=4.5), dict(d=np.inf), dict(nnz=1.5), dict(seed=1.5),
+               dict(nnz='2')):
+        name, = kw
+        with pytest.raises(BadDims, match=name):
+            bench.LassoConfig(**dict(dict(n=4, d=6, nnz=2), **kw))
+    with pytest.raises(BadDims, match='cap'):
+        bench.refsolve(bench.make_lasso(bench.LassoConfig(n=4, d=6, nnz=2)),
+                       1.0, cap=2.5)
+    cfg = bench.DeblurConfig(size=np.int64(8), blur_size=np.int32(3),
+                             seed=np.uint8(2), haar_levels=np.int64(1))
+    assert [type(v) for v in (cfg.size, cfg.blur_size, cfg.seed,
+                              cfg.haar_levels)] == [int] * 4
+    assert bench.LassoConfig(n=4, d=6, nnz=np.int64(2), seed=0).seed == 0
     assert bench.DeblurConfig(size=8, snr_db=-6165.0).snr_db == -6165.0
     # inf means noiseless; zero noise and a zero beta stay valid too
     assert bench.DeblurConfig(size=8, snr_db=math.inf).snr_db == math.inf

@@ -8,7 +8,7 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), 'tools'))
 
-from bench_pairs import bench_record, quartiles, verdict  # noqa: E402
+from bench_pairs import bench_record, quartiles, report, verdict  # noqa: E402
 
 PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
 
@@ -68,6 +68,40 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
     # gain while the median gap stays inside the parent's spread
     v = verdict(noisy, [0.9] * 10, 'lower', 0.1)
     assert v['wins'] == 10 and v['verdict'] == 'held'
+
+
+def test_per_pair_ratio_quartiles_beside_the_verdict():
+    # each side's median moves with the other (drift), but every pair
+    # holds the change at 0.95 of its parent
+    drift = [1.0 + 0.1 * j for j in range(10)]
+    v = verdict(drift, [0.95 * p for p in drift], 'lower', 0.25)
+    assert v['ratio'] == pytest.approx([0.95] * 3)
+    change = [p * r for p, r in zip(PARENT, (0.9, 1.0, 1.1, 1.2, 1.3) * 2)]
+    v = verdict(PARENT, change, 'lower', 0.25)
+    assert v['ratio'] == pytest.approx([1.0, 1.1, 1.2])
+    # a parent value of 0 has no ratio; the verdict itself is unchanged
+    v = verdict([0.0] * 10, [0.0] * 10, 'lower', 0.25)
+    assert v['ratio'] is None and v['verdict'] == 'held'
+
+
+def test_report_prints_the_ratio_and_each_sides_import_s():
+    metrics = [{'name': 'setup_s', 'unit': 's', 'better': 'lower',
+                'bound': 0.25}]
+    runs = []
+    for j, p in enumerate(PARENT):
+        pair = {}
+        for side, value in (('parent', p), ('change', 0.5 * p)):
+            result, _ = perfbench_run(j, 0, value, 0.1, 0)
+            pair[side] = result
+        runs.append(pair)
+    imports = {'parent': [0.4, 0.3, 0.5], 'change': [0.2, 0.35, 0.3]}
+    lines = report(runs, metrics, imports).splitlines()
+    assert lines[0].endswith('won change/parent [q1, q3]   verdict')
+    assert lines[1].split()[0] == 'setup_s'
+    assert lines[1].split()[-5:] == ['10/10', '0.500', '[0.500,', '0.500]',
+                                     'gain']
+    assert lines[-1] == ('import_s (import bosvs, in setup_s): parent '
+                         'median 0.400 s, change median 0.300 s')
 
 
 def test_unpaired_runs_are_rejected():

@@ -1,5 +1,8 @@
 """Operator correctness against dense and scipy oracles."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -510,3 +513,14 @@ def test_back_substitute_dimension_check():
     bs = assemble_back_sub([IdentityOp(4)])
     with pytest.raises(DimensionMismatch):
         back_substitute(bs, np.zeros(3), np.zeros(4), 0.5)
+
+
+def test_a_dense_gram_copies_after_its_symv_products():
+    # symv is bound at module level, not on the Gram, so a problem that has
+    # solved still pickles and deep-copies, and its copies read the triangle
+    rng = np.random.default_rng(3)
+    g = DenseOp(rng.standard_normal((9, 5))).self_gram()
+    v = rng.standard_normal(5)
+    want = g.apply(v)
+    for c in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert c._symmetric and np.array_equal(c.apply(v), want)

@@ -76,6 +76,18 @@ def test_outer_params_validation():
             outer.OuterParams(rho=1.0, scheme=scheme, accel_schedule='bogus')
 
 
+def test_max_outer_iters_must_be_an_integer():
+    # 1.5 used to run one iteration and '3' three; NaN and inf raised
+    # errors that did not name the setting, inf one not a ValueError
+    for bad in (np.nan, np.inf, 1.5, '3'):
+        with pytest.raises(ValueError, match='max_outer_iters'):
+            outer.OuterParams(rho=1.0, max_outer_iters=bad)
+    for good in (3, np.int64(3)):
+        params = outer.OuterParams(rho=1.0, max_outer_iters=good)
+        assert params.max_outer_iters == 3
+        assert type(params.max_outer_iters) is int
+
+
 def test_error_measure_formula():
     rng = np.random.default_rng(7)
     p = lasso_like(8)

@@ -17,7 +17,8 @@ at seed S+10.
 
 For every end-to-end metric of ``BENCHMARK.json`` it prints each side's
 median and quartiles (inclusive method), the relative change of the
-median, the pairs the change won (ties count for neither) and a verdict:
+median, the pairs the change won (ties count for neither), the median
+and quartiles of the per-pair ratio change/parent, and a verdict:
 
 * ``n/a``: fewer than ten pairs, or the change failed more solves than
   the parent; no verdict holds, however the numbers read;
@@ -29,8 +30,12 @@ median, the pairs the change won (ties count for neither) and a verdict:
   the bound, unless every change run is better than every parent run;
 * ``held``: otherwise.
 
-Each side's correct runs and attempted and failed solves follow. The
-change side's ten runs and its traced run are written to
+The ratio shows a shift that holds pair by pair while both sides drift
+together; it does not enter the verdict. Each side's correct runs and
+attempted and failed solves follow, then each side's median ``import_s``:
+the one timing of ``import bosvs`` per run, which ``setup_s`` includes,
+so a ``setup_s`` change can be told apart from a change in the import.
+The change side's ten runs and its traced run are written to
 ``BENCH_<workload>.json`` at the repository root (see ``bench_record``).
 ``--json`` writes every pair's printed result and full perfbench record.
 """
@@ -63,7 +68,9 @@ def verdict(parent, change, better='lower', bound=0.25, failed=(0, 0)):
     """Judge one metric from paired runs: parent[j] and change[j] share a
     seed, and ``failed`` holds each side's failed solves over all runs.
     Returns a dict with each side's quartiles, the relative change of the
-    median, the pairs won and the verdict (see the module doc)."""
+    median, the pairs won, the quartiles of change/parent over the pairs
+    whose parent value is not 0 (None if there are none) and the verdict
+    (see the module doc)."""
     if len(parent) != len(change) or not parent:
         raise ValueError('need the same number of runs on each side, >= 1')
     sign = 1.0 if better == 'lower' else -1.0   # sign * value: lower wins
@@ -71,6 +78,7 @@ def verdict(parent, change, better='lower', bound=0.25, failed=(0, 0)):
     c1, cm, c3 = quartiles(change)
     rel = (cm - pm) / pm if pm else 0.0
     wins = sum(sign * c < sign * p for p, c in zip(parent, change))
+    ratios = [c / p for p, c in zip(parent, change) if p]
     spread = p3 - p1
     all_better = max(sign * c for c in change) < min(sign * p for p in parent)
     if len(parent) < PAIRS or failed[1] > failed[0]:
@@ -84,7 +92,9 @@ def verdict(parent, change, better='lower', bound=0.25, failed=(0, 0)):
     else:
         out = 'held'
     return {'parent': [p1, pm, p3], 'change': [c1, cm, c3], 'rel': rel,
-            'wins': wins, 'pairs': len(parent), 'verdict': out}
+            'wins': wins, 'pairs': len(parent),
+            'ratio': list(quartiles(ratios)) if ratios else None,
+            'verdict': out}
 
 
 def export(parent, dest):
@@ -142,11 +152,13 @@ def bench_record(workload, runs, traced):
             'traced': [summary(*traced)]}
 
 
-def report(runs, metrics):
-    """The table: one line per metric, then each side's run health."""
+def report(runs, metrics, import_s):
+    """The table: one line per metric, then each side's run health and
+    its median ``import_s`` from ``import_s[side]``, one value per run."""
     failed = [sum(r[side]['failed'] for r in runs) for side in SIDES]
     lines = [f"{'metric':22s} {'parent median [q1, q3]':34s} "
-             f"{'change median [q1, q3]':34s} {'rel':>8s} {'won':>6s} verdict"]
+             f"{'change median [q1, q3]':34s} {'rel':>8s} {'won':>6s} "
+             f"{'change/parent [q1, q3]':24s} verdict"]
     for m in metrics:
         pairs = [(r['parent']['metrics'][m['name']]['value'],
                   r['change']['metrics'][m['name']]['value'])
@@ -159,13 +171,19 @@ def report(runs, metrics):
         cols = [f'{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}] {m["unit"]}'
                 for q in (v['parent'], v['change'])]
         won = f"{v['wins']}/{v['pairs']}"
+        q = v['ratio']
+        ratio = f'{q[1]:.3f} [{q[0]:.3f}, {q[2]:.3f}]' if q else 'n/a'
         lines.append(f"{m['name']:22s} {cols[0]:34s} {cols[1]:34s} "
-                     f"{100 * v['rel']:+7.1f}% {won:>6s} {v['verdict']}")
+                     f"{100 * v['rel']:+7.1f}% {won:>6s} {ratio:24s} "
+                     f"{v['verdict']}")
     for side, fails in zip(SIDES, failed):
         res = [r[side] for r in runs]
         lines.append(f"{side}: correct {sum(r['correct'] for r in res)}/"
                      f"{len(res)} runs, attempted "
                      f"{sum(r['attempted'] for r in res)}, failed {fails}")
+    lines.append('import_s (import bosvs, in setup_s): ' + ', '.join(
+        f'{side} median {statistics.median(import_s[side]):.3f} s'
+        for side in SIDES))
     return '\n'.join(lines)
 
 
@@ -202,7 +220,9 @@ def main(argv=None):
                           seconds, trace=1)
     print(f'# {args.workload}: {PAIRS} pairs of --seconds {seconds:g} '
           f'from seed {args.seed}, parent {args.parent}')
-    print(report(runs, metrics))
+    print(report(runs, metrics, {
+        side: [r['record']['import_s'] for r in records if r['side'] == side]
+        for side in SIDES}))
     doc = bench_record(args.workload, [(r['result'], r['record'])
                                        for r in records
                                        if r['side'] == 'change'], traced)
