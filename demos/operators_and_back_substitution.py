@@ -38,11 +38,13 @@ print('adjoint identity on diff: |<Ax,y> - <x,A^Ty>| = %.2e' % abs(lhs - rhs))
 
 # The multi-block correction step. After the per-block sweep produces
 # z, the trailing blocks' expansion points move by a correction u that
-# solves the unit lower-triangular system M^T u = H (z - y), where M and
-# H are built from the cross-block Grams A_i^T A_j. When the trailing
-# blocks have orthonormal columns and touch disjoint constraint rows,
-# as in the deblurring benchmark, M and H collapse to the identity and
-# the correction is just z - y.
+# solves M^T u = H (z - y). M^T is block upper triangular, with blocks
+# A_i^T A_j (j >= i) and diagonal blocks H_i = A_i^T A_i, the blocks of
+# H. Back substitution needs only the operators and the H_i: from the
+# last block up, u_i = w_i - H_i^{-1} A_i^T (sum_{j>i} A_j u_j). When the
+# trailing blocks have orthonormal columns and touch disjoint constraint
+# rows, as in the deblurring benchmark, M and H collapse to the identity
+# and the correction is just z - y.
 ortho = [linops.VStackOp([linops.IdentityOp(20), linops.ZeroOp(20, 20)]),
          linops.VStackOp([linops.ZeroOp(20, 20), linops.NegIdentityOp(20)])]
 bs = linops.assemble_back_sub(ortho)
@@ -50,7 +52,8 @@ v = rng.standard_normal(40)
 print('orthonormal trailing blocks: ||H v - v|| = %.2e, ||M^T v - v|| = %.2e'
       % (np.linalg.norm(bs.apply_H(v) - v), np.linalg.norm(bs.apply_M_T(v) - v)))
 
-# With generic full-rank blocks the system is genuinely triangular.
+# With generic full-rank blocks every pair couples and the system is
+# genuinely triangular.
 blocks = [linops.DenseOp(rng.standard_normal((12, d)) + 3.0 * np.eye(12, d))
           for d in (5, 4, 6)]
 bs = linops.assemble_back_sub(blocks)

@@ -12,16 +12,10 @@ orthonormal transform (the DCT-II for differences and symmetric 3x3
 blurs) or the ``DenseOp`` fallback. These four also solve their shifted
 systems (``solve_shifted``) and report their spectrum (``eig_bounds``).
 Stacks sum their part Grams structurally, so they are never materialized.
-``DiagonalOp(eig)`` is a ``Diagonalized`` on the identity basis, and the
-``self_gram`` of a ``Diagonalized`` squares its eigenvalues. A block with
-h = 0, a ``Diagonalized`` Gram and a smooth part that is zero or has its
-``F`` diagonal on the same basis runs in that basis, where its Gram and
-``F`` are ``DiagonalOp`` (``inner.BlockWorkspace``); a c I or dense Gram,
-a nonzero h or an ``F`` without ``diagonalized`` (a 5x5 blur) does not.
-``assemble_back_sub`` collects these values into the lower
-block-triangular M of blocks 2..m, whose diagonal blocks form H, and
-checks each for full rank; ``back_substitute`` applies the correction
-y + alpha * M^{-T} H (z - y) by blockwise back substitution.
+``DiagonalOp(eig)``, a ``Diagonalized`` on the identity basis, is how
+``inner.BlockWorkspace`` runs a block whose Gram is ``Diagonalized``.
+``back_substitute`` applies y + alpha * M^{-T} H (z - y), M_ij = A_i^T A_j,
+from the operators A_2..A_m and their self-Grams H_i alone.
 """
 
 import functools
@@ -30,7 +24,7 @@ import numpy as np
 from scipy import sparse
 from scipy.fft import dctn, idctn
 
-from .errors import BadDims, DimensionMismatch, RankDeficient
+from .errors import BadDims, DimensionMismatch, RankDeficient, as_int
 
 __all__ = ['LinOp', 'DenseOp', 'ScaledIdentityOp', 'IdentityOp', 'NegIdentityOp',
            'ZeroOp', 'VStackOp', 'HaarTransform', 'DiffOperator', 'BlurOperator',
@@ -171,9 +165,9 @@ class ScaledIdentityOp(LinOp):
     """c * I on n coordinates, with c = ``scalar``."""
 
     def __init__(self, n, scale=1.0):
-        if n <= 0:
+        self.rows = self.cols = as_int('n', n)
+        if self.rows <= 0:
             raise DimensionMismatch("identity needs n >= 1")
-        self.rows = self.cols = int(n)
         self.scalar = float(scale)
 
     def apply(self, v):
@@ -207,10 +201,9 @@ class ZeroOp(LinOp):
     """Zero map, possibly rectangular."""
 
     def __init__(self, rows, cols):
-        if rows < 1 or cols < 1:
+        self.rows, self.cols = as_int('rows', rows), as_int('cols', cols)
+        if self.rows < 1 or self.cols < 1:
             raise DimensionMismatch("zero map needs rows, cols >= 1")
-        self.rows = int(rows)
-        self.cols = int(cols)
         self.scalar = 0.0 if self.rows == self.cols else None
 
     def apply(self, v):
@@ -264,6 +257,14 @@ class VStackOp(LinOp):
         return None if None in grams else functools.reduce(_add, grams)
 
 
+def _image_shape(imrows, imcols):
+    """(imrows, imcols) checked by ``as_int`` and >= 1, else BadDims."""
+    shape = as_int('shape', imrows), as_int('shape', imcols)
+    if min(shape) < 1:
+        raise BadDims(f"image shape must be >= 1, got {shape}")
+    return shape
+
+
 class HaarTransform(LinOp):
     """Orthonormal multilevel 2-D Haar analysis on flattened images.
 
@@ -274,11 +275,12 @@ class HaarTransform(LinOp):
     """
 
     def __init__(self, imrows, imcols, levels=2):
-        imrows, imcols, levels = int(imrows), int(imcols), int(levels)
+        imrows, imcols = _image_shape(imrows, imcols)
+        levels = as_int('levels', levels)
         if levels < 1:
             raise BadDims("levels must be >= 1")
         step = 2 ** levels
-        if imrows % step or imcols % step or imrows < step or imcols < step:
+        if imrows % step or imcols % step:
             raise BadDims(
                 f"image dims ({imrows}, {imcols}) not divisible by 2^{levels}")
         self.imrows, self.imcols, self.levels = imrows, imcols, levels
@@ -344,11 +346,8 @@ class DiffOperator(LinOp):
     """
 
     def __init__(self, imrows, imcols):
-        imrows, imcols = int(imrows), int(imcols)
-        if imrows < 1 or imcols < 1:
-            raise BadDims("grid dims must be >= 1")
-        self.imrows, self.imcols = imrows, imcols
-        self.cols = imrows * imcols
+        self.imrows, self.imcols = _image_shape(imrows, imcols)
+        self.cols = self.imrows * self.imcols
         self.rows = 2 * self.cols
 
     def apply(self, v):
@@ -395,9 +394,7 @@ class BlurOperator(LinOp):
     """
 
     def __init__(self, imrows, imcols, kernel):
-        imrows, imcols = int(imrows), int(imcols)
-        if imrows < 1 or imcols < 1:
-            raise BadDims("image dims must be >= 1")
+        imrows, imcols = _image_shape(imrows, imcols)
         kernel = np.asarray(kernel, dtype=float)
         if kernel.ndim != 2 or kernel.shape[0] % 2 == 0 or kernel.shape[1] % 2 == 0:
             raise BadDims("kernel must be 2-D with odd side lengths")
@@ -434,7 +431,7 @@ class BlurOperator(LinOp):
     @staticmethod
     def uniform(imrows, imcols, size):
         """Uniform size x size averaging kernel (size odd)."""
-        size = int(size)
+        size = as_int('size', size)
         k = np.full((size, size), 1.0 / (size * size))
         return BlurOperator(imrows, imcols, k)
 
@@ -583,47 +580,45 @@ def block_slices(dims):
 
 
 class BackSubMatrices:
-    """Gram structure of the coupling blocks beyond the first.
+    """The operators A_2..A_m (``ops``), their self-Grams H_i (``hblocks``)
+    and their ``slices`` in the stacked (z - y) vector. M_ij = A_i^T A_j
+    (j <= i) is never formed; ``coupled`` is False when no pair of blocks
+    couples (``_uncoupled``), so that M = H."""
 
-    ``mblocks[i][j]`` (j <= i) is the Gram value A_{i+2}^T A_{j+2}; the
-    diagonal ones are the blocks H_i of H. ``slices`` locate each block
-    in the stacked (z - y) vector, and ``below[i]`` lists (j, M_ji) for
-    each nonzero block j > i of column i.
-    """
-
-    def __init__(self, mblocks, dims):
-        self.mblocks = mblocks
-        self.slices = block_slices(dims)
-        self.total = sum(dims)
-        self.below = [[(j, mblocks[j][i]) for j in range(i + 1, len(dims))
-                       if not isinstance(mblocks[j][i], ZeroOp)]
-                      for i in range(len(dims))]
+    def __init__(self, ops, hblocks):
+        self.ops, self.hblocks = ops, hblocks
+        self.slices = block_slices([a.cols for a in ops])
+        self.total = sum(a.cols for a in ops)
+        self.coupled = not all(_uncoupled(a, b) for i, a in enumerate(ops)
+                               for b in ops[i + 1:])
 
     def _split(self, v):
         v = np.asarray(v, dtype=float).ravel()
         return [v[sl] for sl in self.slices]
 
-    def _terms_T(self, i, parts):
-        """M_{ji}^T parts[j] for each nonzero block j > i."""
-        return [g.apply_adjoint(parts[j]) for j, g in self.below[i]]
+    def _upward(self, parts):
+        """Yield (i, A_i^T s_i) from the next-to-last block up, s_i the sum
+        of A_j parts[j] over j > i; parts[i] is read after its yield."""
+        s = self.ops[-1].apply(parts[-1])
+        for i in reversed(range(len(parts) - 1)):
+            yield i, self.ops[i].apply_adjoint(s)
+            if i:
+                s = s + self.ops[i].apply(parts[i])
 
     def apply_H(self, v):
-        return _cat([self.mblocks[i][i].apply(p)
-                     for i, p in enumerate(self._split(v))])
+        return _cat([h.apply(p) for h, p in zip(self.hblocks, self._split(v))])
 
     def solve_H(self, v):
-        return _cat([self.mblocks[i][i].solve_shifted(0.0, 1.0, p)
-                     for i, p in enumerate(self._split(v))])
+        return _cat([h.solve_shifted(0.0, 1.0, p)
+                     for h, p in zip(self.hblocks, self._split(v))])
 
     def apply_M_T(self, v):
-        # (M^T v)_i = sum_{j >= i} M_{ji}^T v_j
+        # (M^T v)_i = H_i v_i + A_i^T sum_{j > i} A_j v_j
         parts = self._split(v)
-        out = []
-        for i, p in enumerate(parts):
-            acc = self.mblocks[i][i].apply(p)
-            for term in self._terms_T(i, parts):
-                acc = acc + term
-            out.append(acc)
+        out = [h.apply(p) for h, p in zip(self.hblocks, parts)]
+        if self.coupled:
+            for i, term in self._upward(parts):
+                out[i] = out[i] + term
         return _cat(out)
 
     def p_quadratic(self, v):
@@ -636,28 +631,32 @@ def _cat(parts):
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
-def assemble_back_sub(blocks):
-    """Build BackSubMatrices from the operators A_2..A_m.
+def _uncoupled(a, b):
+    """A^T B = 0 by structure, without a product: a zero operand, or
+    stacks of one part row split whose parts pair off uncoupled."""
+    return (isinstance(a, ZeroOp) or isinstance(b, ZeroOp)
+            or isinstance(a, VStackOp) and isinstance(b, VStackOp)
+            and [p.rows for p in a.parts] == [p.rows for p in b.parts]
+            and all(map(_uncoupled, a.parts, b.parts)))
 
-    Each block must have full column rank (``_rank_deficient``); raises
-    RankDeficient with the 1-based position among these blocks.
-    """
+
+def assemble_back_sub(blocks):
+    """BackSubMatrices of the operators A_2..A_m. A block that fails
+    ``_rank_deficient`` raises RankDeficient with its 1-based number."""
     blocks = list(blocks)
-    mblocks = []
-    for i, bi in enumerate(blocks):
-        row = [gram(bi, bj) for bj in blocks[:i + 1]]
-        if _rank_deficient(row[i]):
+    hblocks = [gram(a, a) for a in blocks]
+    for i, h in enumerate(hblocks):
+        if _rank_deficient(h):
             raise RankDeficient(i + 2)
-        mblocks.append(row)
-    return BackSubMatrices(mblocks, [b.cols for b in blocks])
+    return BackSubMatrices(blocks, hblocks)
 
 
 def back_substitute(bs, y_plus, z_plus, alpha):
     """Return y + alpha * M^{-T} H (z - y) by blockwise back substitution.
 
-    M^T is block upper triangular with symmetric diagonal blocks H_i, so
-    the correction u solves M^T u = H (z - y) from the last block upward.
-    With M = H = I this is exactly y + alpha * (z - y).
+    M^T is block upper triangular with diagonal blocks H_i: from the last
+    block up, u_i = w_i - H_i^{-1} A_i^T s_i with w = z - y and s_i the
+    row-space sum of A_j u_j over j > i. Uncoupled blocks give u = w.
     """
     y_plus = np.asarray(y_plus, dtype=float).ravel()
     z_plus = np.asarray(z_plus, dtype=float).ravel()
@@ -665,10 +664,9 @@ def back_substitute(bs, y_plus, z_plus, alpha):
         raise DimensionMismatch("back_substitute: block vector length "
                                 f"{bs.total} expected")
     w = z_plus - y_plus
-    u = [None] * len(bs.slices)
-    for i in reversed(range(len(u))):
-        acc = bs.mblocks[i][i].apply(w[bs.slices[i]])
-        for term in bs._terms_T(i, u):
-            acc = acc - term
-        u[i] = bs.mblocks[i][i].solve_shifted(0.0, 1.0, acc)
-    return y_plus + alpha * (u[0] if len(u) == 1 else _cat(u))
+    if bs.coupled:
+        u = bs._split(w)
+        for i, term in bs._upward(u):
+            u[i] = u[i] - bs.hblocks[i].solve_shifted(0.0, 1.0, term)
+        w = _cat(u)
+    return y_plus + alpha * w

@@ -250,7 +250,7 @@ def b_i_k(b, prods, i):
 
 def _workspaces(p, bs):
     # blocks 2..m reuse the self-Grams back substitution already built
-    grams = [None] + [row[-1] for row in bs.mblocks]
+    grams = [None] + bs.hblocks
     return [BlockWorkspace(blk.A, g, blk) for blk, g in zip(p.blocks, grams)]
 
 

@@ -13,6 +13,7 @@ import json
 
 import numpy as np
 
+from .errors import as_int
 from .linops import (BlurOperator, DenseOp, DiffOperator, HaarTransform,
                      ScaledIdentityOp, VStackOp, ZeroOp)
 from .problem import Block, Problem
@@ -59,22 +60,21 @@ def _op_from_spec(spec):
     if kind == 'dense':
         return DenseOp(np.asarray(spec['matrix'], dtype=float))
     if kind in ('identity', 'negidentity'):
-        op = ScaledIdentityOp(int(spec['n']), **_given(spec, 'scale'))
+        op = ScaledIdentityOp(spec['n'], **_given(spec, 'scale'))
         if kind == 'negidentity':
             op.scalar = -op.scalar
         return op
     if kind == 'zero':
-        return ZeroOp(int(spec['rows']), int(spec['cols']))
+        return ZeroOp(spec['rows'], spec['cols'])
     if kind == 'haar':
         r, c = spec['shape']
-        return HaarTransform(int(r), int(c), **_given(spec, 'levels'))
+        return HaarTransform(r, c, **_given(spec, 'levels'))
     if kind == 'diff2d':
         r, c = spec['shape']
-        return DiffOperator(int(r), int(c))
+        return DiffOperator(r, c)
     if kind == 'blur':
         r, c = spec['shape']
-        return BlurOperator(int(r), int(c),
-                            np.asarray(spec['kernel'], dtype=float))
+        return BlurOperator(r, c, np.asarray(spec['kernel'], dtype=float))
     if kind == 'vstack':
         return VStackOp([_op_from_spec(q) for q in spec['parts']])
     raise ValueError(f"unknown operator kind {kind!r}")
@@ -155,7 +155,7 @@ def problem_from_dict(doc):
     try:
         bspec = doc['b']
         if isinstance(bspec, dict):
-            b = np.zeros(int(bspec['zeros']))
+            b = np.zeros(as_int('zeros', bspec['zeros']))
         else:
             b = np.asarray(bspec, dtype=float)
         blocks = [Block(_op_from_spec(e['A']), _smooth_from_spec(e['f']),

@@ -11,7 +11,8 @@ import functools
 import numpy as np
 
 from . import linops
-from .errors import BadDims, DimensionMismatch, EmptyBox, NegativeThreshold
+from .errors import (BadDims, DimensionMismatch, EmptyBox, NegativeThreshold,
+                     as_int)
 from .problem import NonsmoothPart, SmoothPart
 
 __all__ = ['soft_threshold', 'group_shrink', 'box_clamp',
@@ -92,10 +93,10 @@ class GroupL2(NonsmoothPart):
     def __init__(self, weight, group_size=2):
         if not 0.0 <= weight < np.inf:
             raise NegativeThreshold("group weight must be finite and >= 0")
-        if group_size < 1:
+        self.group_size = as_int('group_size', group_size)
+        if self.group_size < 1:
             raise BadDims(f"group_size must be >= 1, got {group_size}")
         self.weight = float(weight)
-        self.group_size = int(group_size)
 
     def value(self, x):
         g = np.asarray(x, dtype=float).reshape(self.group_size, -1)

@@ -382,6 +382,21 @@ def test_smallest_gram_eigenvalue():
     assert smallest_gram_eigenvalue(wide) >= 0.0
 
 
+def dense_back_sub(mats):
+    """Dense H and lower block-triangular M, M_ij = A_i^T A_j, of the
+    blocks' matrices."""
+    dims = [a.shape[1] for a in mats]
+    offs = np.concatenate([[0], np.cumsum(dims)])
+    h_dense = np.zeros((offs[-1], offs[-1]))
+    m_dense = np.zeros_like(h_dense)
+    for i in range(len(mats)):
+        si = slice(offs[i], offs[i + 1])
+        h_dense[si, si] = mats[i].T @ mats[i]
+        for j in range(i + 1):
+            m_dense[si, offs[j]:offs[j + 1]] = mats[i].T @ mats[j]
+    return h_dense, m_dense
+
+
 def test_back_sub_assembly_matches_dense():
     rng = np.random.default_rng(6)
     dims = [3, 4, 2]
@@ -389,27 +404,90 @@ def test_back_sub_assembly_matches_dense():
     bs = assemble_back_sub(ops)
     mats = [op.to_dense() for op in ops]
     for i in range(3):
-        for j in range(i + 1):
-            want = mats[i].T @ mats[j]
-            assert np.allclose(bs.mblocks[i][j].to_dense(), want, atol=1e-12)
+        want = mats[i].T @ mats[i]
+        assert np.allclose(bs.hblocks[i].to_dense(), want, atol=1e-12)
     # H and M^T actions against dense constructions
-    total = sum(dims)
-    h_dense = np.zeros((total, total))
-    m_dense = np.zeros((total, total))
-    offs = np.concatenate([[0], np.cumsum(dims)])
-    for i in range(3):
-        si = slice(offs[i], offs[i + 1])
-        h_dense[si, si] = mats[i].T @ mats[i]
-        for j in range(i + 1):
-            sj = slice(offs[j], offs[j + 1])
-            m_dense[si, sj] = mats[i].T @ mats[j]
-    v = rng.standard_normal(total)
+    h_dense, m_dense = dense_back_sub(mats)
+    v = rng.standard_normal(sum(dims))
     assert np.allclose(bs.apply_H(v), h_dense @ v, atol=1e-10)
     assert np.allclose(bs.apply_M_T(v), m_dense.T @ v, atol=1e-10)
     assert np.allclose(bs.solve_H(v), np.linalg.solve(h_dense, v), atol=1e-8)
     p_dense = m_dense @ np.linalg.solve(h_dense, m_dense.T)
     assert abs(bs.p_quadratic(v) - float(v @ p_dense @ v)) <= 1e-8 * (
         1.0 + abs(float(v @ p_dense @ v)))
+
+
+def assert_matches_dense_oracle(bs, mats, rng, alpha=0.9):
+    """back_substitute, apply_M_T and p_quadratic against dense M and H."""
+    h_dense, m_dense = dense_back_sub(mats)
+    p_dense = m_dense @ np.linalg.solve(h_dense, m_dense.T)
+    for _ in range(3):
+        y, z, v = rng.standard_normal((3, len(h_dense)))
+        want = y + alpha * np.linalg.solve(m_dense.T, h_dense @ (z - y))
+        got = back_substitute(bs, y, z, alpha)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.allclose(bs.apply_M_T(v), m_dense.T @ v, atol=1e-12)
+        quad = float(v @ p_dense @ v)
+        assert abs(bs.p_quadratic(v) - quad) <= 1e-12 * (1.0 + abs(quad))
+
+
+def test_back_substitute_coupled_dense_blocks_match_the_dense_solve(
+        monkeypatch):
+    # four dense trailing blocks, every pair coupled: each block's
+    # correction goes through the row-space sum of the blocks after it
+    rng = np.random.default_rng(14)
+    mats = [rng.standard_normal((20, d)) + 2.0 * np.eye(20, d)
+            for d in (3, 5, 4, 2)]
+    calls = []
+    monkeypatch.setattr(linops, 'gram',
+                        lambda a, b: calls.append(a is b) or gram(a, b))
+    bs = assemble_back_sub([DenseOp(a) for a in mats])
+    assert calls == [True] * 4    # self-Grams only, no A_i^T A_j
+    assert bs.coupled
+    assert_matches_dense_oracle(bs, mats, rng)
+    y, z = rng.standard_normal((2, bs.total))
+    want = back_substitute(bs, y, z, 0.9)
+    for h in bs.hblocks:    # back substitution applies no H_i
+        h.apply = None
+    assert back_substitute(bs, y, z, 0.9).tobytes() == want.tobytes()
+
+
+def test_back_substitute_skips_uncoupled_blocks_bit_for_bit():
+    # deblur's [-I; 0] and [0; -I] share no nonzero row: u = z - y, and
+    # M^T keeps a signed zero that adding A_2^T 0 would turn into +0.0
+    p = bench.make_deblur(bench.DeblurConfig(size=8))
+    bs = assemble_back_sub([blk.A for blk in p.blocks[1:]])
+    assert not bs.coupled
+    rng = np.random.default_rng(15)
+    y, z = rng.standard_normal((2, bs.total))
+    y[[3, bs.total - 1]] = 0.0
+    z[[3, bs.total - 1]] = -0.0
+    w = z - y
+    assert np.signbit(w[3]) and np.signbit(w[-1])
+    for op in bs.ops:   # the skip applies no operator
+        op.apply = op.apply_adjoint = None
+    got = back_substitute(bs, y, z, 0.999)
+    assert got.tobytes() == (y + 0.999 * w).tobytes()
+    assert bs.apply_M_T(w).tobytes() == w.tobytes()
+
+
+def test_stacks_sharing_a_row_range_or_split_apart_count_as_coupled():
+    rng = np.random.default_rng(16)
+    n = 4
+    dense = DenseOp(rng.standard_normal((6, n)))
+    for ops in (
+            # [I; 0] and [I; I] share the rows of the first part
+            [VStackOp([IdentityOp(n), ZeroOp(n, n)]),
+             VStackOp([IdentityOp(n), IdentityOp(n)])],
+            # part row splits (4, 4) and (2, 6): the pair is not placed
+            [VStackOp([NegIdentityOp(n), ZeroOp(n, n)]),
+             VStackOp([ZeroOp(2, n), dense])],
+            # (4, 4) and (2, 2, 4) do not couple, but only a product shows it
+            [VStackOp([IdentityOp(n), ZeroOp(n, n)]),
+             VStackOp([ZeroOp(2, n), ZeroOp(2, n), IdentityOp(n)])]):
+        bs = assemble_back_sub(ops)
+        assert bs.coupled
+        assert_matches_dense_oracle(bs, [op.to_dense() for op in ops], rng)
 
 
 def test_back_substitute_solves_triangular_system():
@@ -438,8 +516,8 @@ def test_back_substitute_identity_structure_is_relaxation():
            VStackOp([ZeroOp(n, n), NegIdentityOp(n)])]
     bs = assemble_back_sub(ops)
     for i in range(2):
-        assert np.array_equal(bs.mblocks[i][i].to_dense(), np.eye(n))
-    assert np.array_equal(bs.mblocks[1][0].to_dense(), np.zeros((n, n)))
+        assert np.array_equal(bs.hblocks[i].to_dense(), np.eye(n))
+    assert not bs.coupled
     y = rng.standard_normal(2 * n)
     z = rng.standard_normal(2 * n)
     got = back_substitute(bs, y, z, 0.999)

@@ -1,12 +1,14 @@
 """Problem file round-trips."""
 
+import functools
 import json
+import operator
 
 import numpy as np
 import pytest
 
-from bosvs import bench, linops, problem, problem_io, prox
-from bosvs.errors import DimensionMismatch
+from bosvs import bench, cli, linops, problem, problem_io, prox
+from bosvs.errors import BadDims, DimensionMismatch
 
 
 def test_lasso_roundtrip(tmp_path):
@@ -118,6 +120,36 @@ def test_rejects_a_blur_kernel_that_is_not_finite(tmp_path):
         json.dump(doc, fh)
     with pytest.raises(ValueError, match='kernel'):
         problem_io.load_problem(path)
+
+
+def test_rejects_integer_fields_that_are_not_integers(tmp_path, capsys):
+    # these loaded truncated (3.7 as 3) or converted ("64" as 64) before
+    base = problem_io.problem_to_dict(
+        bench.make_deblur(bench.DeblurConfig(size=8)))
+    u, aux = ('blocks', 0, 'A', 'parts'), ('blocks', 1)
+    edits = [(('b',), 'zeros', 191.9),
+             (u + (0,), 'shape', [8.5, 8]),             # diff2d
+             (u + (1,), 'shape', [8, 8.0]),             # haar
+             (u + (1,), 'levels', 1.9),
+             (('blocks', 0, 'f', 'F'), 'shape', ['8', 8]),  # blur
+             (aux + ('A', 'parts', 0), 'n', 128.7),     # negidentity
+             (aux + ('A', 'parts', 1), 'rows', '64'),   # zero
+             (aux + ('A', 'parts', 1), 'cols', 128.5),
+             (aux + ('h',), 'group_size', 2.5)]
+    for n, (where, field, value) in enumerate(edits):
+        doc = json.loads(json.dumps(base))
+        spec = functools.reduce(operator.getitem, where, doc)
+        assert field in spec
+        spec[field] = value
+        path = str(tmp_path / f'bad{n}.json')
+        with open(path, 'w') as fh:
+            json.dump(doc, fh)
+        with pytest.raises(BadDims, match=f'^{field} must be an integer'):
+            problem_io.load_problem(path)
+        assert cli.main(['solve', '--problem', path, '--scheme',
+                         'generalized', '--rho', '1']) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f'error: {field} must be an integer'), err
 
 
 def test_rejects_unknown_schema_and_kinds():
