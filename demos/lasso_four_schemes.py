@@ -29,7 +29,7 @@ print('%-12s %8s %8s %10s %12s' % ('scheme', 'outer k', 'time', 'rel err',
                                    'consensus'))
 for scheme in ('generalized', 'multistep', 'accelerated', 'exact'):
     params = outer.OuterParams(rho=1.0, scheme=scheme, stop_tol=1e-8,
-                               max_outer_iters=60000, cg_tol=1e-12)
+                               max_outer_iters=60000)
     t0 = time.perf_counter()
     res = outer.solve(p, params)
     dt = time.perf_counter() - t0

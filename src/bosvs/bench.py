@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .errors import BadDims, MaxItersReached, SolverError, as_int
+from .errors import BadDims, MaxItersReached, SolverError, as_int, as_real
 from .linops import (BlurOperator, DenseOp, DiffOperator, HaarTransform,
                      IdentityOp, NegIdentityOp, VStackOp, ZeroOp)
 from .outer import OuterParams, solve, write_summary, write_trace_csv
@@ -27,6 +27,7 @@ __all__ = ['DeblurConfig', 'LassoConfig', 'phantom', 'make_deblur',
            'REFERENCE_CAP']
 
 REFERENCE_CAP = 50000
+SNR_DB_FLOOR = -20.0 * math.log10(np.finfo(float).max)   # about -6165 dB
 REFERENCE_WINDOW = 4     # iterations the stable digits must hold over
 ISTA_MAXIT = 200000      # iteration cap of ista_oracle
 
@@ -43,32 +44,23 @@ class DeblurConfig:
 
     def __init__(self, size=32, blur_size=3, snr_db=40.0, alpha_tv=0.005,
                  beta_wav=0.001, seed=0, haar_levels=None):
-        size, blur_size, seed = (as_int('size', size),
-                                 as_int('blur_size', blur_size),
-                                 as_int('seed', seed))
-        if size < 8 or size & (size - 1):
+        self.size = size = as_int('size', size, 8)
+        if size & (size - 1):
             raise BadDims(f"size must be a power of two >= 8, got {size}")
-        if blur_size % 2 == 0 or blur_size < 1:
-            raise BadDims("blur_size must be odd and positive")
-        if not snr_db > -20.0 * math.log10(np.finfo(float).max):
-            raise BadDims(f"snr_db must be above about -6165 dB, got {snr_db}")
-        if not (0.0 <= alpha_tv < math.inf and 0.0 <= beta_wav < math.inf):
-            raise BadDims(f"need finite alpha_tv, beta_wav >= 0, got "
-                          f"alpha_tv={alpha_tv}, beta_wav={beta_wav}")
-        if seed < 0:    # numpy's generators reject it without naming it
-            raise BadDims(f"seed must be >= 0, got {seed}")
-        haar_levels = as_int('haar_levels', haar_levels) \
+        self.blur_size = as_int('blur_size', blur_size, 1)
+        if self.blur_size % 2 == 0:
+            raise BadDims(f"blur_size must be odd, got {self.blur_size}")
+        self.snr_db = as_real('snr_db', snr_db, SNR_DB_FLOOR, above=True,
+                              inf=True)
+        self.alpha_tv = as_real('alpha_tv', alpha_tv, 0.0)
+        self.beta_wav = as_real('beta_wav', beta_wav, 0.0)
+        # numpy's generators reject a negative seed without naming it
+        self.seed = as_int('seed', seed, 0)
+        self.haar_levels = as_int('haar_levels', haar_levels, 1) \
             if haar_levels is not None else (2 if size <= 64 else 4)
-        if not 1 <= haar_levels < size.bit_length():   # 2**levels <= size
-            raise BadDims(f"need 1 <= haar_levels and 2**haar_levels <= size "
-                          f"{size}, got haar_levels={haar_levels}")
-        self.size = size
-        self.blur_size = blur_size
-        self.snr_db = float(snr_db)
-        self.alpha_tv = float(alpha_tv)
-        self.beta_wav = float(beta_wav)
-        self.seed = seed
-        self.haar_levels = haar_levels
+        if self.haar_levels >= size.bit_length():     # 2**levels > size
+            raise BadDims(f"need 2**haar_levels <= size {size}, got "
+                          f"haar_levels={self.haar_levels}")
 
     def as_dict(self):
         return dict(vars(self))
@@ -80,21 +72,14 @@ class LassoConfig:
 
     def __init__(self, n=100, d=150, nnz=10, noise_std=0.01, beta=0.1,
                  seed=0):
-        n, d, nnz, seed = (as_int('n', n), as_int('d', d),
-                           as_int('nnz', nnz), as_int('seed', seed))
-        if n < 1 or d < 1 or nnz < 0 or nnz > n:
-            raise BadDims("need n, d >= 1 and 0 <= nnz <= n")
-        if not (0.0 <= noise_std < math.inf and 0.0 <= beta < math.inf):
-            raise BadDims(f"need finite noise_std, beta >= 0, got "
-                          f"noise_std={noise_std}, beta={beta}")
-        if seed < 0:    # numpy's generators reject it without naming it
-            raise BadDims(f"seed must be >= 0, got {seed}")
-        self.n = n
-        self.d = d
-        self.nnz = nnz
-        self.noise_std = float(noise_std)
-        self.beta = float(beta)
-        self.seed = seed
+        self.n = as_int('n', n, 1)
+        self.d = as_int('d', d, 1)
+        self.nnz = as_int('nnz', nnz, 0)
+        if self.nnz > self.n:
+            raise BadDims(f"need nnz <= n, got nnz={self.nnz}, n={self.n}")
+        self.noise_std = as_real('noise_std', noise_std, 0.0)
+        self.beta = as_real('beta', beta, 0.0)
+        self.seed = as_int('seed', seed, 0)
 
     def as_dict(self):
         return dict(vars(self))
@@ -221,7 +206,7 @@ def refsolve(p, rho, cap=REFERENCE_CAP):
     ``cap`` in all. Returns the SolveResult; its final objective is phi_star.
     """
     params = OuterParams(rho=rho, scheme='accelerated', stop_tol=0.0,
-                         max_outer_iters=as_int('cap', cap))
+                         max_outer_iters=as_int('cap', cap, 1))
     return solve(p, params, callbacks=[_stable_digits_callback()],
                  raise_on_maxiter=False)
 

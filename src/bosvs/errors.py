@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and ``as_int``, the check
-of an integer setting."""
+"""Exception types shared across the package, and ``as_int`` and
+``as_real``, the one check of a numeric setting."""
 
+import math
+import numbers
 import operator
 
 
@@ -13,16 +15,39 @@ class DimensionMismatch(SolverError, ValueError):
 
 
 class BadDims(SolverError, ValueError):
-    """Instance dimensions outside the supported range."""
+    """A dimension or other numeric setting outside its supported range."""
 
 
-def as_int(name, value):
-    """value as an int if it is a Python or numpy integer, else BadDims
-    naming the setting: a float is refused, not truncated."""
+def as_int(name, value, lo=None, error=BadDims):
+    """value as an int if it is a Python or numpy integer, not a bool, and
+    >= lo if given. Else an error naming the setting: BadDims (a float is
+    refused, not truncated), or ``error``, a callable from a message to an
+    exception, for an integer below lo."""
     try:
-        return operator.index(value)
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
     except TypeError:
-        raise BadDims(f"{name} must be an integer, got {value!r}") from None
+        error = BadDims
+    else:
+        if lo is None or value >= lo:
+            return value
+    bound = '' if lo is None else f' >= {lo}'
+    raise error(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def as_real(name, value, lo=None, above=False, inf=False, error=BadDims):
+    """float(value) if it is a real number, not a bool, not NaN, finite
+    (``inf`` also allows +inf) and >= lo if given (> lo if ``above``); else
+    BadDims naming the setting, or ``error`` for a real number out of range."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if (real and (-math.inf < value < math.inf or inf and value == math.inf)
+            and (lo is None or (value > lo if above else value >= lo))):
+        return float(value)
+    bound = '' if lo is None else f" {'>' if above else '>='} {lo:g}"
+    kind = (f'a real number{bound} or inf' if inf
+            else f'a finite real number{bound}')
+    raise (error if real else BadDims)(f"{name} must be {kind}, got {value!r}")
 
 
 class RankDeficient(SolverError):

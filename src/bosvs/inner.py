@@ -36,7 +36,7 @@ import numpy as np
 
 from . import linops
 from .errors import (CGNotConverged, InnerIterationCap, LineSearchDiverged,
-                     MissingLipschitz, UnsupportedSubproblem)
+                     MissingLipschitz, UnsupportedSubproblem, as_int, as_real)
 from .problem import Block
 
 __all__ = ['LineSearchParams', 'RelaxationParams', 'InnerResult',
@@ -65,10 +65,11 @@ class LineSearchParams:
     tau = 1.1
 
     def __init__(self, delta_min=1e-10, delta_max=1e10):
-        if not (0.0 < delta_min < delta_max):
-            raise ValueError("need 0 < delta_min < delta_max")
-        self.delta_min = float(delta_min)
-        self.delta_max = float(delta_max)
+        self.delta_min = as_real('delta_min', delta_min, 0.0, above=True)
+        self.delta_max = as_real('delta_max', delta_max, 0.0, above=True,
+                                 inf=True)
+        if not self.delta_min < self.delta_max:
+            raise ValueError("need delta_min < delta_max")
 
 
 class RelaxationParams:
@@ -371,9 +372,8 @@ class RunningAverage:
 def _run_inner(ctx, bst, psi_val, iterates, record, inner_cap, cap_error):
     """Run an inner loop to its stopping rule; ``iterates`` yields (u, z,
     ||u - u_prev||^2, gamma, delta, displacement, record extras). Raises
-    ValueError if inner_cap < 1."""
-    if inner_cap < 1:
-        raise ValueError(f"inner_cap must be >= 1, got {inner_cap}")
+    BadDims unless inner_cap is an integer >= 1."""
+    inner_cap = as_int('inner_cap', inner_cap, 1)
     sumsq = 0.0
     for l, (u, z, dd, gamma, delta, disp, extra) in zip(
             range(1, inner_cap + 1), iterates):

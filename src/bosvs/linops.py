@@ -24,7 +24,8 @@ import numpy as np
 from scipy import sparse
 from scipy.fft import dctn, idctn
 
-from .errors import BadDims, DimensionMismatch, RankDeficient, as_int
+from .errors import (BadDims, DimensionMismatch, RankDeficient, as_int,
+                     as_real)
 
 __all__ = ['LinOp', 'DenseOp', 'ScaledIdentityOp', 'IdentityOp', 'NegIdentityOp',
            'ZeroOp', 'VStackOp', 'HaarTransform', 'DiffOperator', 'BlurOperator',
@@ -116,8 +117,9 @@ class DenseOp(LinOp):
 
     def __init__(self, a):
         a = np.asfortranarray(a, dtype=float)
-        if a.ndim != 2:
-            raise DimensionMismatch("dense operator needs a 2-D array")
+        if a.ndim != 2 or not a.size:
+            raise DimensionMismatch("dense operator needs a 2-D array with "
+                                    f"rows, cols >= 1, got shape {a.shape}")
         self._a = a
         self.rows, self.cols = a.shape
 
@@ -165,10 +167,8 @@ class ScaledIdentityOp(LinOp):
     """c * I on n coordinates, with c = ``scalar``."""
 
     def __init__(self, n, scale=1.0):
-        self.rows = self.cols = as_int('n', n)
-        if self.rows <= 0:
-            raise DimensionMismatch("identity needs n >= 1")
-        self.scalar = float(scale)
+        self.rows = self.cols = as_int('n', n, 1, DimensionMismatch)
+        self.scalar = as_real('scale', scale)
 
     def apply(self, v):
         return self.scalar * self._check_apply(v)
@@ -201,9 +201,8 @@ class ZeroOp(LinOp):
     """Zero map, possibly rectangular."""
 
     def __init__(self, rows, cols):
-        self.rows, self.cols = as_int('rows', rows), as_int('cols', cols)
-        if self.rows < 1 or self.cols < 1:
-            raise DimensionMismatch("zero map needs rows, cols >= 1")
+        self.rows = as_int('rows', rows, 1, DimensionMismatch)
+        self.cols = as_int('cols', cols, 1, DimensionMismatch)
         self.scalar = 0.0 if self.rows == self.cols else None
 
     def apply(self, v):
@@ -258,11 +257,10 @@ class VStackOp(LinOp):
 
 
 def _image_shape(imrows, imcols):
-    """(imrows, imcols) checked by ``as_int`` and >= 1, else BadDims."""
-    shape = as_int('shape', imrows), as_int('shape', imcols)
-    if min(shape) < 1:
-        raise BadDims(f"image shape must be >= 1, got {shape}")
-    return shape
+    """(imrows, imcols) as integers >= 1, else BadDims naming the shape."""
+    def error(msg):
+        return BadDims(f"{msg} in image shape ({imrows!r}, {imcols!r})")
+    return as_int('shape', imrows, 1, error), as_int('shape', imcols, 1, error)
 
 
 class HaarTransform(LinOp):
@@ -276,9 +274,7 @@ class HaarTransform(LinOp):
 
     def __init__(self, imrows, imcols, levels=2):
         imrows, imcols = _image_shape(imrows, imcols)
-        levels = as_int('levels', levels)
-        if levels < 1:
-            raise BadDims("levels must be >= 1")
+        levels = as_int('levels', levels, 1)
         step = 2 ** levels
         if imrows % step or imcols % step:
             raise BadDims(
@@ -431,7 +427,7 @@ class BlurOperator(LinOp):
     @staticmethod
     def uniform(imrows, imcols, size):
         """Uniform size x size averaging kernel (size odd)."""
-        size = as_int('size', size)
+        size = as_int('size', size, 1)
         k = np.full((size, size), 1.0 / (size * size))
         return BlurOperator(imrows, imcols, k)
 

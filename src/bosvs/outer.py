@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (CGNotConverged, DimensionMismatch, InnerIterationCap,
                      LineSearchDiverged, MaxItersReached, MissingReference,
-                     NegativeR, as_int)
+                     NegativeR, as_int, as_real)
 from .inner import (ACCEL_SCHEDULES, CG_TOL, BlockState, BlockWorkspace,
                     InnerContext, LineSearchParams, RelaxationParams,
                     accelerated_loop, exact_block_solve, generalized_step,
@@ -97,27 +97,20 @@ class OuterParams:
                  accel_schedule=ACCEL_SCHEDULES[0], ls=None, relax=None,
                  stop_tol=None, max_outer_iters=100000, cg_tol=CG_TOL,
                  reference=None):
-        if not 0.0 < rho < np.inf:
-            raise ValueError("rho must be finite and positive")
+        self.rho = as_real('rho', rho, 0.0, above=True)
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}")
         if accel_schedule not in ACCEL_SCHEDULES:
             raise ValueError(f"unknown accel_schedule {accel_schedule!r}")
-        if stop_tol is not None and not stop_tol >= 0.0:
-            raise ValueError("stop_tol must be nonnegative or None")
-        if not 0.0 < cg_tol < np.inf:
-            raise ValueError("cg_tol must be finite and positive")
-        max_outer_iters = as_int('max_outer_iters', max_outer_iters)
-        if max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be at least 1")
-        self.rho = float(rho)
+        if stop_tol is not None:
+            as_real('stop_tol', stop_tol, 0.0, inf=True)
+        self.cg_tol = as_real('cg_tol', cg_tol, 0.0, above=True)
+        self.max_outer_iters = as_int('max_outer_iters', max_outer_iters, 1)
         self.scheme = scheme
         self.accel_schedule = accel_schedule
         self.ls = ls if ls is not None else LineSearchParams()
         self.relax = relax if relax is not None else RelaxationParams()
         self.stop_tol = stop_tol
-        self.max_outer_iters = max_outer_iters
-        self.cg_tol = float(cg_tol)
         self.reference = reference
 
 

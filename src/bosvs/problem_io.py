@@ -10,6 +10,7 @@ plain list or {"zeros": n}.
 """
 
 import json
+import numbers
 
 import numpy as np
 
@@ -29,6 +30,16 @@ SCHEMA = 'bosvs-problem/1'
 def _given(spec, key):
     """The key's entry, if any: a part's constructor supplies the default."""
     return {key: spec[key]} if key in spec else {}
+
+
+def _reals(spec, key):
+    """The key's entry as a float array, refusing a string, bool, null or
+    ragged entry by the field's name (``np.asarray([1, True])`` is ints)."""
+    a = np.array(spec[key], dtype=object)
+    if not all(issubclass(t, numbers.Real) and t is not bool
+               for t in set(map(type, a.flat))):
+        raise ValueError(f"{key} must be an array of real numbers")
+    return a.astype(float)
 
 
 def _op_to_spec(op):
@@ -58,7 +69,7 @@ def _op_to_spec(op):
 def _op_from_spec(spec):
     kind = spec['kind']
     if kind == 'dense':
-        return DenseOp(np.asarray(spec['matrix'], dtype=float))
+        return DenseOp(_reals(spec, 'matrix'))
     if kind in ('identity', 'negidentity'):
         op = ScaledIdentityOp(spec['n'], **_given(spec, 'scale'))
         if kind == 'negidentity':
@@ -74,7 +85,7 @@ def _op_from_spec(spec):
         return DiffOperator(r, c)
     if kind == 'blur':
         r, c = spec['shape']
-        return BlurOperator(r, c, np.asarray(spec['kernel'], dtype=float))
+        return BlurOperator(r, c, _reals(spec, 'kernel'))
     if kind == 'vstack':
         return VStackOp([_op_from_spec(q) for q in spec['parts']])
     raise ValueError(f"unknown operator kind {kind!r}")
@@ -97,8 +108,7 @@ def _smooth_from_spec(spec):
     if kind == 'zero':
         return ZeroSmooth()
     if kind == 'quadratic_ls':
-        return QuadraticLS(_op_from_spec(spec['F']),
-                           np.asarray(spec['data'], dtype=float),
+        return QuadraticLS(_op_from_spec(spec['F']), _reals(spec, 'data'),
                            lipschitz=spec.get('lipschitz'))
     raise ValueError(f"unknown smooth kind {kind!r}")
 
@@ -121,13 +131,11 @@ def _nonsmooth_from_spec(spec):
     if kind == 'zero':
         return ZeroProx()
     if kind == 'l1':
-        return ScaledL1(float(spec['weight']))
+        return ScaledL1(spec['weight'])
     if kind == 'group_l2':
-        return GroupL2(float(spec['weight']),
-                       **_given(spec, 'group_size'))
+        return GroupL2(spec['weight'], **_given(spec, 'group_size'))
     if kind == 'box':
-        return BoxIndicator(np.asarray(spec['lo'], dtype=float),
-                            np.asarray(spec['hi'], dtype=float))
+        return BoxIndicator(_reals(spec, 'lo'), _reals(spec, 'hi'))
     raise ValueError(f"unknown nonsmooth kind {kind!r}")
 
 
@@ -153,11 +161,8 @@ def problem_from_dict(doc):
         raise ValueError(f"unsupported schema {doc.get('schema')!r}, "
                          f"expected {SCHEMA!r}")
     try:
-        bspec = doc['b']
-        if isinstance(bspec, dict):
-            b = np.zeros(as_int('zeros', bspec['zeros']))
-        else:
-            b = np.asarray(bspec, dtype=float)
+        b = np.zeros(as_int('zeros', doc['b']['zeros'], 1)) \
+            if isinstance(doc['b'], dict) else _reals(doc, 'b')
         blocks = [Block(_op_from_spec(e['A']), _smooth_from_spec(e['f']),
                         _nonsmooth_from_spec(e['h'])) for e in doc['blocks']]
     except KeyError as exc:

@@ -11,8 +11,8 @@ import functools
 import numpy as np
 
 from . import linops
-from .errors import (BadDims, DimensionMismatch, EmptyBox, NegativeThreshold,
-                     as_int)
+from .errors import (DimensionMismatch, EmptyBox, NegativeThreshold, as_int,
+                     as_real)
 from .problem import NonsmoothPart, SmoothPart
 
 __all__ = ['soft_threshold', 'group_shrink', 'box_clamp',
@@ -37,8 +37,7 @@ def group_shrink(v, t, group_size=2):
     """
     if t < 0:
         raise NegativeThreshold(f"threshold {t} < 0")
-    if group_size < 1:
-        raise BadDims(f"group_size must be >= 1, got {group_size}")
+    group_size = as_int('group_size', group_size, 1)
     v = np.asarray(v, dtype=float)
     if v.size % group_size:
         raise DimensionMismatch(
@@ -76,9 +75,7 @@ class ScaledL1(NonsmoothPart):
     """h(x) = weight * ||x||_1."""
 
     def __init__(self, weight):
-        if not 0.0 <= weight < np.inf:
-            raise NegativeThreshold("l1 weight must be finite and >= 0")
-        self.weight = float(weight)
+        self.weight = as_real('weight', weight, 0.0, error=NegativeThreshold)
 
     def value(self, x):
         return self.weight * float(np.abs(x).sum())
@@ -91,12 +88,8 @@ class GroupL2(NonsmoothPart):
     """h(x) = weight * sum over groups of ||x_g||_2 (strided layout)."""
 
     def __init__(self, weight, group_size=2):
-        if not 0.0 <= weight < np.inf:
-            raise NegativeThreshold("group weight must be finite and >= 0")
-        self.group_size = as_int('group_size', group_size)
-        if self.group_size < 1:
-            raise BadDims(f"group_size must be >= 1, got {group_size}")
-        self.weight = float(weight)
+        self.weight = as_real('weight', weight, 0.0, error=NegativeThreshold)
+        self.group_size = as_int('group_size', group_size, 1)
 
     def value(self, x):
         g = np.asarray(x, dtype=float).reshape(self.group_size, -1)
@@ -171,9 +164,8 @@ class QuadraticLS(SmoothPart):
         if self.data.size != F.rows:
             raise DimensionMismatch(
                 f"data length {self.data.size} != operator rows {F.rows}")
-        if lipschitz is not None and not 0.0 <= lipschitz < np.inf:
-            raise BadDims(f"need a finite lipschitz >= 0, got {lipschitz}")
-        self._lipschitz = None if lipschitz is None else float(lipschitz)
+        self._lipschitz = None if lipschitz is None \
+            else as_real('lipschitz', lipschitz, 0.0)
 
     @functools.cached_property
     def normal(self):

@@ -76,13 +76,15 @@ def test_bad_instance_settings_are_rejected_up_front():
         with pytest.raises(BadDims, match=name):
             bench.DeblurConfig(**kw)
     for kw in (dict(n=4.5), dict(d=np.inf), dict(nnz=1.5), dict(seed=1.5),
-               dict(nnz='2')):
+               dict(nnz='2'), dict(seed=True), dict(beta='0.1')):
         name, = kw
         with pytest.raises(BadDims, match=name):
             bench.LassoConfig(**dict(dict(n=4, d=6, nnz=2), **kw))
-    with pytest.raises(BadDims, match='cap'):
-        bench.refsolve(bench.make_lasso(bench.LassoConfig(n=4, d=6, nnz=2)),
-                       1.0, cap=2.5)
+    for cap in (2.5, 0, True):
+        with pytest.raises(BadDims, match='cap'):
+            bench.refsolve(
+                bench.make_lasso(bench.LassoConfig(n=4, d=6, nnz=2)), 1.0,
+                cap=cap)
     cfg = bench.DeblurConfig(size=np.int64(8), blur_size=np.int32(3),
                              seed=np.uint8(2), haar_levels=np.int64(1))
     assert [type(v) for v in (cfg.size, cfg.blur_size, cfg.seed,

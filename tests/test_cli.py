@@ -170,6 +170,10 @@ def test_refsolve_subcommand(tmp_path, lasso_file):
                     '--cap', '3'])
     assert proc.returncode == 2, proc.stderr
     assert '(max_iters)' in proc.stdout
+    proc = run_cli(['refsolve', '--problem', lasso_file, '--rho', '1.0',
+                    '--cap', '0'])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith('error: cap must be'), proc.stderr
 
 
 def test_bench_lasso_end_to_end(tmp_path):

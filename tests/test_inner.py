@@ -63,6 +63,8 @@ def test_param_validation():
         inner.LineSearchParams(delta_min=1.0, delta_max=0.5)
     with pytest.raises(ValueError):
         inner.LineSearchParams(delta_min=0.0)
+    with pytest.raises(ValueError, match='delta_min'):
+        inner.LineSearchParams(delta_min='1')
     ls = inner.LineSearchParams()
     assert 0.0 < ls.sigma < 1.0 < ls.tau <= ls.eta
     relax = inner.RelaxationParams()
@@ -437,7 +439,7 @@ def test_inner_cap_below_one_is_rejected():
     A = linops.DenseOp(rng.standard_normal((8, 6)))
     ctx, bst = one_block(A, f, prox.ZeroProx(), seed=167)
     for loop in (inner.multistep_loop, inner.accelerated_loop):
-        for cap in (0, -3):
+        for cap in (0, -3, 2.5, True):
             for cap_error in (True, False):
                 with pytest.raises(ValueError, match='inner_cap'):
                     loop(ctx, bst, np.inf, inner_cap=cap,

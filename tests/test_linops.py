@@ -78,6 +78,8 @@ def test_dimension_checks():
         HaarTransform(6, 6, levels=2)   # not divisible by 4
     with pytest.raises(BadDims):
         HaarTransform(4, 4, levels=3)
+    with pytest.raises(BadDims, match='levels'):
+        HaarTransform(8, 8, True)
     with pytest.raises(BadDims):
         BlurOperator.uniform(4, 4, 2)   # even kernel
     with pytest.raises(BadDims):
@@ -103,6 +105,9 @@ def test_unrepresentable_operators_are_rejected():
     for rows, cols in ((12, -1), (0, 3), (3, 0)):
         with pytest.raises(DimensionMismatch):
             ZeroOp(rows, cols)
+    for shape in ((0, 3), (3, 0), (0, 0), (1, 0)):
+        with pytest.raises(DimensionMismatch):
+            DenseOp(np.zeros(shape))
     for kernel in (np.zeros((3, 3)), [[np.nan]], [[np.inf]]):
         with pytest.raises(BadDims, match='kernel'):
             BlurOperator(4, 4, kernel)

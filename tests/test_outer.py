@@ -53,8 +53,8 @@ def test_default_thetas_keep_the_numpy_square_roots_bitwise():
 
 
 def test_outer_params_validation():
-    for rho in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(ValueError):
+    for rho in (0.0, -1.0, np.nan, np.inf, '1', True):
+        with pytest.raises(ValueError, match='rho'):
             outer.OuterParams(rho=rho)
     for stop_tol in (-1.0, -1e-300, np.nan):
         with pytest.raises(ValueError):

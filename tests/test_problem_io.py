@@ -152,6 +152,53 @@ def test_rejects_integer_fields_that_are_not_integers(tmp_path, capsys):
         assert err.startswith(f'error: {field} must be an integer'), err
 
 
+def with_last(value, bad):
+    """value, a number or nested list, with its last number replaced."""
+    return [*value[:-1], with_last(value[-1], bad)] \
+        if isinstance(value, list) else bad
+
+
+def test_rejects_numbers_given_as_strings_booleans_or_nan(tmp_path, capsys):
+    # these loaded converted ("0.1" as 0.1, true as 1.0), or failed later
+    # with an error about something else ("n": true as a DimensionMismatch,
+    # "scale": NaN as a diverged solve); np.asarray([1, True]) is ints
+    lasso = problem_io.problem_to_dict(
+        bench.make_lasso(bench.LassoConfig(n=4, d=6, nnz=2)))
+    lasso['b'] = [0.0] * 4
+    box = json.loads(json.dumps(lasso))
+    box['blocks'][1]['h'] = {'kind': 'box', 'lo': [-1.0] * 4, 'hi': [1] * 4}
+    deblur = problem_io.problem_to_dict(
+        bench.make_deblur(bench.DeblurConfig(size=8)))
+    ls, l1 = ('blocks', 0, 'f'), ('blocks', 1, 'h')
+    cases = [(lasso, l1, 'weight', '0.1'), (lasso, l1, 'weight', True),
+             (deblur, ('blocks', 1, 'h'), 'weight', '0.1'),
+             (lasso, ('blocks', 0, 'A'), 'scale', '2'),
+             (lasso, ('blocks', 0, 'A'), 'scale', float('nan')),
+             (lasso, ('blocks', 0, 'A'), 'n', True),
+             (deblur, ('blocks', 1, 'h'), 'group_size', True),
+             (lasso, ls, 'lipschitz', '2'), (lasso, ls, 'lipschitz', False),
+             (lasso, ls + ('F',), 'matrix', '1.0'),
+             (lasso, ls + ('F',), 'matrix', True),
+             (lasso, ls, 'data', True), (lasso, ls, 'data', None),
+             (lasso, (), 'b', '0'), (lasso, (), 'b', True),
+             (deblur, ('blocks', 0, 'f', 'F'), 'kernel', '0.1'),
+             (box, l1, 'lo', True), (box, l1, 'hi', True),
+             (box, l1, 'hi', '1')]
+    for n, (base, where, field, bad) in enumerate(cases):
+        doc = json.loads(json.dumps(base))
+        spec = functools.reduce(operator.getitem, where, doc)
+        spec[field] = with_last(spec.get(field), bad)
+        path = str(tmp_path / f'bad{n}.json')
+        with open(path, 'w') as fh:
+            json.dump(doc, fh)
+        with pytest.raises(ValueError, match=f'^{field} must be'):
+            problem_io.load_problem(path)
+        assert cli.main(['solve', '--problem', path, '--scheme',
+                         'generalized', '--rho', '1']) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f'error: {field} must be'), (field, bad, err)
+
+
 def test_rejects_unknown_schema_and_kinds():
     with pytest.raises(ValueError):
         problem_io.problem_from_dict({'schema': 'bosvs-problem/99',

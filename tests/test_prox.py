@@ -149,6 +149,10 @@ def test_term_weights_must_be_finite_and_nonnegative():
         for part in (ScaledL1, GroupL2):
             with pytest.raises(NegativeThreshold, match='finite'):
                 part(weight)
+    for weight in ('1', True):
+        for part in (ScaledL1, GroupL2):
+            with pytest.raises(ValueError, match='weight'):
+                part(weight)
     for part in (ScaledL1(0.0), GroupL2(0.0)):
         assert part.value(np.zeros(4)) == 0.0
 
